@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .conjugate import young_conjugate
 from .errors import (
@@ -129,117 +128,120 @@ def _check_expect(expect: Optional[str], verdict: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def _search_from(params: dict) -> Optional[SearchSpec]:
-    kwargs = {}
-    if params.get("points") is not None:
-        kwargs["points"] = int(params["points"])
-    if params.get("radius") is not None:
-        kwargs["radius"] = float(params["radius"])
-    return SearchSpec(**kwargs) if kwargs else None
+class Param(NamedTuple):
+    """A witness parameter: its type on the command line, its default, and the
+    allowed values where the set is closed."""
+
+    type: type
+    default: object
+    choices: Optional[Tuple[str, ...]] = None
+
+
+class Witness(NamedTuple):
+    params: Dict[str, Param]
+    run: Callable[..., Tuple[dict, str]]  # typed params -> (payload, verdict)
+
+
+def _series(series) -> Tuple[dict, str]:
+    return series.to_dict(), series.classification
+
+
+def _run_deg2(weight, a, psi, lam, m_max) -> Tuple[dict, str]:
+    rep = witness_deg2_topologizable(parse_weight(weight), a, Polynomial.parse(psi), lam, m_max)
+    return rep.to_dict(), "finite" if rep.all_finite else "unbounded"
+
+
+def _run_delta(weight, a, delta, lam, m) -> Tuple[dict, str]:
+    rep = witness_dilation_delta(parse_weight(weight), a, delta, lam, m)
+    payload = {"D": rep.d, "log_D": rep.log_d, "j_star": rep.j_star, "scanned": rep.scanned}
+    return payload, "finite"
+
+
+def _run_rho(model, weight, lam, m, direction) -> Tuple[dict, str]:
+    rc = rho_construction(parse_model(model), parse_weight(weight), lam, m, direction)
+    payload = {
+        "rho": rc.rho,
+        "log_rho": rc.log_rho,
+        "dominance": rc.dominance,
+        "direction": rc.direction,
+        "attainment": {"j": rc.attainment[0], "q": rc.attainment[1], "x": rc.attainment[2]},
+        "truncation_m": rc.truncation_m,
+    }
+    return payload, "dominant"
+
+
+def _run_fourier(scale, b, tol) -> Tuple[dict, str]:
+    rep = fourier_scaling_check(Gaussian(scale), b)
+    payload = {"b": rep.b, "max_error": rep.max_error, "eta_count": rep.eta_count}
+    return payload, "pass" if rep.max_error < tol else "fail"
+
+
+# The one description of each witness: argparse flags, `witness` and `suite`
+# all derive from it.  Runners call the witness functions by their module
+# names (not stored references), so rebinding those names reaches every call.
+WITNESSES: Dict[str, Witness] = {
+    "translation": Witness(
+        dict(weight=Param(str, "gevrey:2"), lam=Param(float, 1.0), mu=Param(float, 1.0),
+             model=Param(str, "gauss:1"), m_max=Param(int, 15)),
+        lambda weight, lam, mu, model, m_max: _series(
+            witness_translation(parse_weight(weight), lam, mu, parse_model(model), m_max)),
+    ),
+    "dilation": Witness(
+        dict(weight=Param(str, "gevrey:2"), a=Param(float, 2.0), k=Param(float, 1.0),
+             h=Param(float, 2.0), m=Param(int, 1), ell_max=Param(int, 8)),
+        lambda weight, a, k, h, m, ell_max: _series(
+            witness_dilation_blowup(parse_weight(weight), a, k, h, m, ell_max)),
+    ),
+    "repelling": Witness(
+        dict(psi=Param(str, "0,0,1"), x0=Param(str, "1"), d=Param(float, 2.0),
+             lam=Param(float, 1.0), m_max=Param(int, 20)),
+        lambda psi, x0, d, lam, m_max: _series(
+            witness_repelling(Polynomial.parse(psi), x0, d, lam, m_max)),
+    ),
+    "square": Witness(
+        dict(s=Param(float, 2.0), lam=Param(float, 1.0), m_max=Param(int, 60)),
+        lambda s, lam, m_max: _series(witness_square(s, lam, m_max)),
+    ),
+    "deg2": Witness(
+        dict(weight=Param(str, "gevrey:2"), a=Param(float, 3.0), psi=Param(str, "0,0,1"),
+             lam=Param(float, 1.0), m_max=Param(int, 5)),
+        _run_deg2,
+    ),
+    "delta": Witness(
+        dict(weight=Param(str, "gevrey:2"), a=Param(float, 2.0), delta=Param(float, 1.0),
+             lam=Param(float, 1.0), m=Param(int, 1)),
+        _run_delta,
+    ),
+    "rho": Witness(
+        dict(model=Param(str, "gauss:1"), weight=Param(str, "gevrey:2"), lam=Param(float, 1.0),
+             m=Param(int, 2),
+             direction=Param(str, "derivative", ("derivative", "polynomial"))),
+        _run_rho,
+    ),
+    "fourier": Witness(
+        dict(scale=Param(float, 1.0), b=Param(float, 2.0), tol=Param(float, 1e-6)),
+        _run_fourier,
+    ),
+}
 
 
 def _run_witness(name: str, params: dict) -> Tuple[dict, str]:
-    """Returns (payload, verdict)."""
-    if name == "translation":
-        series = witness_translation(
-            parse_weight(params.get("weight", "gevrey:2")),
-            float(params.get("lam", 1.0)),
-            float(params.get("mu", 1.0)),
-            parse_model(params.get("model", "gauss:1")),
-            int(params.get("m_max", 15)),
+    """Returns (payload, verdict).  `params` is left as given (it is echoed in
+    reports); numbers are coerced on a copy, strings are passed through."""
+    witness = WITNESSES.get(name)
+    if witness is None:
+        raise ConfigurationError("unknown witness %r" % (name,))
+    foreign = sorted(set(params) - set(witness.params))
+    if foreign:
+        raise ConfigurationError(
+            "witness %s does not take %s (it takes %s)"
+            % (name, ", ".join(foreign), ", ".join(sorted(witness.params)))
         )
-        return series.to_dict(), series.classification
-    if name == "dilation":
-        series = witness_dilation_blowup(
-            parse_weight(params.get("weight", "gevrey:2")),
-            float(params.get("a", 2.0)),
-            float(params.get("k", 1.0)),
-            float(params.get("h", 2.0)),
-            int(params.get("m", 1)),
-            int(params.get("ell_max", 8)),
-        )
-        return series.to_dict(), series.classification
-    if name == "repelling":
-        series = witness_repelling(
-            Polynomial.parse(params.get("psi", "0,0,1")),
-            params.get("x0", "1"),
-            float(params.get("d", 2.0)),
-            float(params.get("lam", 1.0)),
-            int(params.get("m_max", 20)),
-        )
-        return series.to_dict(), series.classification
-    if name == "square":
-        series = witness_square(
-            float(params.get("s", 2.0)),
-            float(params.get("lam", 1.0)),
-            int(params.get("m_max", 60)),
-        )
-        return series.to_dict(), series.classification
-    if name == "deg2":
-        rep = witness_deg2_topologizable(
-            parse_weight(params.get("weight", "gevrey:2")),
-            float(params.get("a", 3.0)),
-            Polynomial.parse(params.get("psi", "0,0,1")),
-            float(params.get("lam", 1.0)),
-            int(params.get("m_max", 5)),
-        )
-        return rep.to_dict(), "finite" if rep.all_finite else "unbounded"
-    if name == "delta":
-        rep = witness_dilation_delta(
-            parse_weight(params.get("weight", "gevrey:2")),
-            float(params.get("a", 2.0)),
-            float(params.get("delta", 1.0)),
-            float(params.get("lam", 1.0)),
-            int(params.get("m", 1)),
-        )
-        payload = {
-            "D": rep.d,
-            "log_D": rep.log_d,
-            "j_star": rep.j_star,
-            "scanned": rep.scanned,
-        }
-        return payload, "finite"
-    if name == "rho":
-        rc = rho_construction(
-            parse_model(params.get("model", "gauss:1")),
-            parse_weight(params.get("weight", "gevrey:2")),
-            float(params.get("lam", 1.0)),
-            int(params.get("m", 2)),
-            params.get("direction", "derivative"),
-        )
-        payload = {
-            "rho": rc.rho,
-            "log_rho": rc.log_rho,
-            "dominance": rc.dominance,
-            "direction": rc.direction,
-            "attainment": {
-                "j": rc.attainment[0],
-                "q": rc.attainment[1],
-                "x": rc.attainment[2],
-            },
-            "truncation_m": rc.truncation_m,
-        }
-        return payload, "dominant"
-    if name == "fourier":
-        rep = fourier_scaling_check(
-            Gaussian(float(params.get("scale", 1.0))), float(params.get("b", 2.0))
-        )
-        tol = float(params.get("tol", 1e-6))
-        payload = {"b": rep.b, "max_error": rep.max_error, "eta_count": rep.eta_count}
-        return payload, "pass" if rep.max_error < tol else "fail"
-    raise ConfigurationError("unknown witness %r" % (name,))
-
-
-WITNESS_NAMES = (
-    "translation",
-    "dilation",
-    "repelling",
-    "square",
-    "deg2",
-    "delta",
-    "rho",
-    "fourier",
-)
+    typed = {}
+    for key, p in witness.params.items():
+        value = params.get(key, p.default)
+        typed[key] = value if p.type is str else p.type(value)
+    return witness.run(**typed)
 
 
 # --------------------------------------------------------------------------
@@ -353,34 +355,17 @@ def _cmd_poly(args) -> int:
     return 0
 
 
+def _witness_keys() -> Dict[str, List[Tuple[str, Param]]]:
+    """Every witness parameter, with the witnesses that take it."""
+    keys: Dict[str, List[Tuple[str, Param]]] = {}
+    for name, witness in WITNESSES.items():
+        for key, param in witness.params.items():
+            keys.setdefault(key, []).append((name, param))
+    return keys
+
+
 def _cmd_witness(args) -> int:
-    params = {
-        key: getattr(args, key)
-        for key in (
-            "weight",
-            "model",
-            "psi",
-            "x0",
-            "a",
-            "b",
-            "k",
-            "h",
-            "m",
-            "ell_max",
-            "m_max",
-            "lam",
-            "mu",
-            "s",
-            "d",
-            "delta",
-            "direction",
-            "scale",
-            "tol",
-            "points",
-            "radius",
-        )
-        if getattr(args, key, None) is not None
-    }
+    params = {key: getattr(args, key) for key in _witness_keys() if getattr(args, key) is not None}
     payload, verdict = _run_witness(args.name, params)
     report = {
         "command": "witness",
@@ -435,12 +420,7 @@ def _cmd_suite(args) -> int:
     entries = config.get("entries", [])
     if not isinstance(entries, list):
         raise ConfigurationError("suite config needs an 'entries' list")
-    threads = max(1, int(os.environ.get("GSDYN_THREADS", "1")))
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_suite_entry, entries))
-    else:
-        results = [_suite_entry(e) for e in entries]
+    results = [_suite_entry(e) for e in entries]
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for r in results:
         counts[r["status"]] += 1
@@ -515,29 +495,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.set_defaults(func=_cmd_poly)
 
-    p = sub.add_parser("witness", parents=[common], help="growth experiments with verdicts")
-    p.add_argument("name", choices=WITNESS_NAMES)
-    p.add_argument("--weight", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--psi", default=None)
-    p.add_argument("--x0", default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--ell-max", dest="ell_max", type=int, default=None)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--direction", choices=("derivative", "polynomial"), default=None)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
+    p = sub.add_parser(
+        "witness",
+        parents=[common],
+        help="growth experiments with verdicts",
+        description="Each witness takes only the flags that name it below; "
+        "any other flag exits 2.",
+    )
+    p.add_argument("name", choices=tuple(WITNESSES))
+    for key, takers in sorted(_witness_keys().items()):
+        flags = ["--" + key.replace("_", "-")] + (["--lambda"] if key == "lam" else [])
+        by_default: Dict[str, List[str]] = {}
+        for name, param in takers:
+            by_default.setdefault(str(param.default), []).append(name)
+        p.add_argument(
+            *flags,
+            dest=key,
+            type=takers[0][1].type,  # one type per key across witnesses
+            choices=takers[0][1].choices,
+            default=None,
+            help="; ".join("%s: default %s" % ("/".join(n), d) for d, n in by_default.items()),
+        )
     p.add_argument("--expect", default=None, help="required verdict; mismatch exits 1")
     p.set_defaults(func=_cmd_witness)
 
@@ -564,8 +542,21 @@ def _apply_config_defaults(args, argv: List[str]) -> None:
             setattr(args, dest, value)
 
 
+def _join_negative_values(argv: List[str]) -> List[str]:
+    """`--flag -2,0,1` -> `--flag=-2,0,1`.  argparse reads a token with a leading
+    `-` as an option unless it looks like a plain negative number; no gsdyn
+    option starts with `-<digit>`, so after a long flag such a token is a value."""
+    out: List[str] = []
+    for tok in argv:
+        if out and re.match(r"-\.?\d", tok) and re.fullmatch(r"--[a-z][a-z0-9-]*", out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,4 +1,4 @@
-"""Young conjugates of phi(t) = omega(e^t) and the seminorm weight factors.
+"""Young conjugates of phi(t) = omega(e^t) and the parameter-shift constants.
 
 For Gevrey-reducible weights the conjugate is exact and piecewise:
 phi(t) = e^(t/d) conjugates to x d log(x d / e) on x >= 1/d and to -1 below
@@ -90,23 +90,6 @@ def young_conjugate(
     if tol <= 0:
         raise DomainError("numeric conjugate needs tol > 0")
     return _numeric_sup(w, x, tol, t_max)
-
-
-@dataclass(frozen=True)
-class LogFactor:
-    """log of the seminorm weight exp(-lam * phi*(n/lam))."""
-
-    log_value: float
-    lam: float
-    n: int
-
-
-def log_weight_factor(w: Weight, lam: float, n: int, method: str = "auto") -> LogFactor:
-    if lam <= 0:
-        raise DomainError("weight factor needs lam > 0, got %r" % (lam,))
-    if n < 0:
-        raise DomainError("derivative order must be non-negative")
-    return LogFactor(-lam * young_conjugate(w, n / lam, method=method), lam, n)
 
 
 @dataclass(frozen=True)

@@ -458,9 +458,8 @@ class Composed(FunctionModel):
         """Vectorized Faa di Bruno: per-point rescaling keeps the Horner
         substitution inside double range, with a shared log offset."""
         _check_order(order)
-        ys = np.array([float(self.poly(float(x))) for x in xs])
-        f_signs, f_logs = self.base.grid_jets(ys, order)
         p_rows = self._poly_taylor_rows(xs, order)
+        f_signs, f_logs = self.base.grid_jets(p_rows[0], order)
         n_pts = xs.shape[0]
         lg = np.array([math.lgamma(n + 1) for n in range(order + 1)])
         # outer Taylor coefficients, peak-normalized per point

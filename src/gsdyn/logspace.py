@@ -36,12 +36,6 @@ def log_abs_fraction(x: Fraction) -> float:
     return log_abs_int(x.numerator) - log_abs_int(x.denominator)
 
 
-def slog_of_int(n: int) -> SLog:
-    if n == 0:
-        return ZERO
-    return (1 if n > 0 else -1, log_abs_int(n))
-
-
 def slog_of_fraction(x: Fraction) -> SLog:
     if x == 0:
         return ZERO

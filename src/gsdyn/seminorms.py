@@ -67,6 +67,18 @@ class SeminormSpec:
             - self.s * (math.lgamma(j + 1) + math.lgamma(q + 1))
         )
 
+    def spatial_log(self, x: float, q: int) -> float:
+        """log of the spatial factor at one point: one entry of spatial_log_rows."""
+        if self.family == "expq":
+            return self.mu * self.weight(abs(x))
+        if self.family == "globalp":
+            return q * math.log1p(abs(x))
+        if q == 0:
+            return 0.0
+        if x == 0.0:
+            return NEG_INF
+        return q * math.log(abs(x))
+
     def spatial_log_rows(self, xs: np.ndarray, m_max: int) -> np.ndarray:
         """rows[q] = log of the spatial factor at power q (expq: single row)."""
         ax = np.abs(xs)
@@ -240,17 +252,7 @@ def _cell_objective(
 ) -> Callable[[float], float]:
     def g(x: float) -> float:
         s, l = model.jet(x, j).entry(j)
-        if s == 0:
-            return NEG_INF
-        if spec.family == "expq":
-            return l + spec.mu * spec.weight(abs(x))
-        if spec.family == "globalp":
-            return l + q * math.log1p(abs(x))
-        if q == 0:
-            return l
-        if x == 0.0:
-            return NEG_INF
-        return l + q * math.log(abs(x))
+        return NEG_INF if s == 0 else l + spec.spatial_log(x, q)
 
     return g
 
@@ -309,17 +311,8 @@ def _prescribed_eval(
             if s == 0:
                 cells.append(_Cell(j, q, NEG_INF, x, 0))
                 continue
-            if spec.family == "expq":
-                sp = spec.mu * spec.weight(abs(x))
-            elif spec.family == "globalp":
-                sp = q * math.log1p(abs(x))
-            elif q == 0:
-                sp = 0.0
-            elif x == 0.0:
-                sp = NEG_INF
-            else:
-                sp = q * math.log(abs(x))
-            cells.append(_Cell(j, q, l + sp + spec.index_log_factor(j, q), x, 0))
+            value = l + spec.spatial_log(x, q) + spec.index_log_factor(j, q)
+            cells.append(_Cell(j, q, value, x, 0))
     cells.sort(key=_cell_order)
     best = cells[0]
     runner = cells[1] if len(cells) > 1 else None

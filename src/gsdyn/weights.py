@@ -135,10 +135,6 @@ def parse_weight(text: str) -> Weight:
     raise ConfigurationError("unknown weight spec %r" % text)
 
 
-def eval_weight(w: Weight, t: float) -> float:
-    return w(t)
-
-
 # --------------------------------------------------------------------------
 # condition checks
 # --------------------------------------------------------------------------

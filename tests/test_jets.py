@@ -165,3 +165,22 @@ def test_parse_model():
     assert parse_model("shift:1:gauss:1").jet(0.0, 0).value(0) == pytest.approx(
         math.exp(-1.0)
     )
+
+
+def test_composed_inner_values_match_scalar_horner():
+    # Composed.grid_jets feeds the base model the row-0 vector Horner values;
+    # they must equal the per-point Polynomial.__call__ loop bit for bit.
+    from gsdyn.polynomials import iterate
+    from gsdyn.seminorms import _grid, default_radius
+
+    polys = ["0,0,1", "1/4,0,1", "0,1,0,2", "-1,0,1", "1/3,-2,0,1"]
+    rng = np.random.default_rng(7)
+    grids = [_grid(default_radius(Gaussian(1.0), 16), n) for n in (512, 2048)]
+    grids.append(rng.uniform(-3.0, 3.0, 4000))
+    for spec in polys:
+        for m in range(1, 6):
+            model = Composed(Gaussian(1.0), iterate(Polynomial.parse(spec), m))
+            for xs in grids:
+                scalar = np.array([float(model.poly(float(x))) for x in xs])
+                vector = model._poly_taylor_rows(xs, 3)[0]
+                assert np.array_equal(vector, scalar), (spec, m, len(xs))

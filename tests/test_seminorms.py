@@ -118,3 +118,25 @@ def test_value_matches_matrix_max(scale):
     mat = attainment_matrix(Gaussian(scale), spec, m, SearchSpec())
     best = np.nanmax(np.where(np.isfinite(mat), mat, -np.inf))
     assert rep.log_value == pytest.approx(best, rel=1e-9)
+
+
+def test_spatial_log_matches_rows():
+    from gsdyn.weights import LogPower
+
+    specs = [
+        SeminormSpec("plainp", G2),
+        SeminormSpec("globalp", G2),
+        SeminormSpec("expq", LogPower(2.0), mu=1.5),
+        SeminormSpec("gevreyseq", s=2.0),
+    ]
+    xs = np.array([0.0, 1e-7, -1e-7, 0.5, -3.0, 40.0])
+    for spec in specs:
+        rows = spec.spatial_log_rows(xs, 5)
+        for q in range(6):
+            row = rows[q if spec.uses_q else 0]
+            for x, want in zip(xs, row):
+                got = spec.spatial_log(float(x), q)
+                # np.log and math.log may differ in the last bit
+                assert (got == -math.inf) == (want == -math.inf), (spec.family, x, q)
+                if want != -math.inf:
+                    assert got == pytest.approx(want, rel=1e-15), (spec.family, x, q)
