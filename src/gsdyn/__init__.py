@@ -2,7 +2,7 @@
 
 Weight functions and their structural conditions, Young conjugates, exact
 polynomial iteration with fixed-point classification, jets with Faa di
-Bruno composition, certified seminorm evaluation, and growth witnesses for
+Bruno composition, seminorm evaluation, and growth witnesses for
 topologizability experiments.
 """
 

@@ -475,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=CONDITIONS, default=None)
     p.set_defaults(func=_cmd_weight_check)
 
-    p = sub.add_parser("seminorm", parents=[common], help="certified seminorm evaluation")
+    p = sub.add_parser("seminorm", parents=[common], help="seminorm evaluation")
     p.add_argument("--model", required=True)
     p.add_argument(
         "--family", choices=("plainp", "globalp", "expq", "gevreyseq"), default="plainp"
@@ -525,21 +525,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(args, argv: List[str]) -> None:
-    """--config JSON keys fill flags not given explicitly on the command line."""
+def _apply_config(parser: argparse.ArgumentParser, args, argv: List[str]):
+    """--config JSON keys act as their flags for the flags not given on the
+    command line: each is parsed again, right after the subcommand, so it gets
+    the flag's type and choices, and an alias given explicitly still wins.
+    Keys the subcommand does not take are ignored."""
     if not args.config or args.command == "suite":
-        return
+        return args
     with open(args.config) as fh:
         try:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError("malformed config: %s" % exc)
+    at = 0  # the subcommand; every option before it takes one value
+    while argv[at].startswith("-"):
+        at += 1 if "=" in argv[at] else 2
     explicit = {tok.split("=")[0] for tok in argv if tok.startswith("--")}
     for key, value in overrides.items():
         flag = "--" + key.replace("_", "-")
-        dest = key.replace("-", "_")
-        if flag not in explicit and hasattr(args, dest):
-            setattr(args, dest, value)
+        if flag in explicit or not hasattr(args, key.replace("-", "_")):
+            continue
+        token = [flag] if value is True else [] if value is False else ["%s=%s" % (flag, value)]
+        argv = argv[: at + 1] + token + argv[at + 1 :]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            raise ConfigurationError("config key %r: %r is not a value of %s" % (key, value, flag))
+    return args
 
 
 def _join_negative_values(argv: List[str]) -> List[str]:
@@ -563,7 +575,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0,) else 0
     try:
-        _apply_config_defaults(args, argv)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
     except (DomainError, ConfigurationError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -8,13 +8,19 @@ golden-section maximisation of the concave map t -> x t - phi(t).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import BoundaryHitError, DomainError, VerificationError
 from .weights import Gevrey, LogPower, RootComposed, Weight, gevrey_index
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+TOL = 1e-12  # width of the final bracket of the numeric conjugate
+T_MAX = 100.0  # first right end of that bracket, doubled while the sup lies beyond
+N_CHECK = 200  # the shift constants are fitted and re-verified on n = 0..N_CHECK
 
 
 def phi(w: Weight, t: float) -> float:
@@ -37,7 +43,32 @@ def _closed_form(d: float, x: float) -> float:
     return xd * math.log(xd / math.e)
 
 
-def _numeric_sup(w: Weight, x: float, tol: float, t_max: float) -> float:
+def _golden_max(
+    f, a: float, b: float, steps: Optional[int] = None, width: float = -math.inf
+) -> float:
+    """Golden-section search for the max of a unimodal f on [a, b].
+
+    Stops after `steps` steps, or, when steps is None, once the bracket is no
+    wider than `width`; returns the midpoint of the final bracket.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps) if steps is not None else itertools.count():
+        if b - a <= width:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _numeric_sup(w: Weight, x: float) -> float:
     def f(t: float) -> float:
         try:
             return x * t - phi(w, t)
@@ -45,38 +76,17 @@ def _numeric_sup(w: Weight, x: float, tol: float, t_max: float) -> float:
             return float("-inf")
 
     # expand the bracket until the objective is decreasing at the right end
-    hi = t_max
+    hi = T_MAX
     expansions = 0
     while f(hi) > f(hi * (1.0 - 1e-9)):
         hi *= 2.0
         expansions += 1
         if expansions > 200:
             raise BoundaryHitError("conjugate maximiser escaped past t=%g" % hi)
-    lo = 0.0
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d_ = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d_)
-    while b - a > tol:
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _GOLDEN * (b - a)
-            fd = f(d_)
-    t_star = 0.5 * (a + b)
-    return max(f(t_star), f(0.0))
+    return max(f(_golden_max(f, 0.0, hi, width=TOL)), f(0.0))
 
 
-def young_conjugate(
-    w: Weight,
-    x: float,
-    method: str = "auto",
-    tol: float = 1e-12,
-    t_max: float = 100.0,
-) -> float:
+def young_conjugate(w: Weight, x: float, method: str = "auto") -> float:
     """phi*_omega(x) = sup_{t >= 0} (x t - phi_omega(t))."""
     if x < 0:
         raise DomainError("the Young conjugate is evaluated on x >= 0, got %r" % (x,))
@@ -87,9 +97,7 @@ def young_conjugate(
         if d is None:
             raise DomainError("no closed-form conjugate for weight %s" % w.spec())
         return _closed_form(d, x)
-    if tol <= 0:
-        raise DomainError("numeric conjugate needs tol > 0")
-    return _numeric_sup(w, x, tol, t_max)
+    return _numeric_sup(w, x)
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ class ShiftConstants:
     n_checked: int
 
 
-def lambda_shift_constants(w: Weight, lam: float, n_check: int = 200) -> ShiftConstants:
+def lambda_shift_constants(w: Weight, lam: float) -> ShiftConstants:
     """Parameter-shift constants behind the seminorm truncation estimate.
 
     mu = 2 lam always works for the in-scope families; for an effective
@@ -116,7 +124,7 @@ def lambda_shift_constants(w: Weight, lam: float, n_check: int = 200) -> ShiftCo
     big_a = 2.0 ** d if d is not None else 2.0
     log_a = math.log(big_a)
     log_d = 0.0
-    for n in range(n_check + 1):
+    for n in range(N_CHECK + 1):
         r = (
             n * log_a
             - lam * young_conjugate(w, n / lam)
@@ -125,11 +133,11 @@ def lambda_shift_constants(w: Weight, lam: float, n_check: int = 200) -> ShiftCo
         log_d = max(log_d, r)
     big_d = math.exp(log_d)
     # re-verify the displayed inequality with the returned constants
-    for n in range(n_check + 1):
+    for n in range(N_CHECK + 1):
         lhs = -lam * young_conjugate(w, n / lam)
         rhs = log_d - n * log_a - mu * young_conjugate(w, n / mu)
         if lhs > rhs + 1e-9 * (1.0 + abs(rhs)):
             raise VerificationError(
                 "shift constants rejected at n=%d (lhs=%g rhs=%g)" % (n, lhs, rhs)
             )
-    return ShiftConstants(mu=mu, A=big_a, D=big_d, n_checked=n_check)
+    return ShiftConstants(mu=mu, A=big_a, D=big_d, n_checked=N_CHECK)

@@ -416,7 +416,10 @@ class PrescribedJet(FunctionModel):
         return Jet.from_exact(self.center, vals)
 
     def grid_jets(self, xs: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
-        raise DomainError("prescribed jets do not support spatial grids")
+        """The jet as a one-point grid; the only grid allowed is [center]."""
+        # any other grid gets jet()'s own error (nan is never the center)
+        jet = self.jet(float(xs[0]) if len(xs) == 1 else math.nan, order)
+        return np.array(jet.signs, dtype=np.int8)[:, None], np.array(jet.logs)[:, None]
 
     def spec(self) -> str:
         return "jet:%g:%s" % (

@@ -8,7 +8,6 @@ is involved.  x^2 + 1/4 and x^2 + 0.2500001 must land on different sides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -131,16 +130,16 @@ class Polynomial:
         return ",".join(str(c) for c in self.coeffs)
 
 
-def iterate(psi: Polynomial, m: int, degree_cap: int = DEGREE_CAP) -> Polynomial:
+def iterate(psi: Polynomial, m: int) -> Polynomial:
     """The m-fold composition of psi with itself."""
     if m < 0:
         raise DomainError("iteration count must be >= 0, got %r" % (m,))
     if m == 0:
         return Polynomial.x()
     deg = max(psi.degree, 1)
-    if deg ** m > degree_cap:
+    if deg ** m > DEGREE_CAP:
         raise ResourceLimitError(
-            "iterate degree %d^%d exceeds the cap %d" % (deg, m, degree_cap)
+            "iterate degree %d^%d exceeds the cap %d" % (deg, m, DEGREE_CAP)
         )
     result = psi
     for _ in range(m - 1):
@@ -404,27 +403,3 @@ def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
         out.append(FixedPoint((lo, hi), mult, kind, False))
     out.sort(key=lambda fp: fp.value)
     return out
-
-
-# --------------------------------------------------------------------------
-# tail minorant for degree >= 2
-# --------------------------------------------------------------------------
-
-
-def asymptotic_minorant(psi: Polynomial, alpha: float = 1.5) -> Tuple[float, float]:
-    """(alpha, b) with |psi(x)| >= |x|^alpha certified on [b, 1e6] by log sweep."""
-    if psi.degree < 2:
-        raise DomainError("asymptotic minorant needs deg(psi) >= 2")
-    n = 600
-    xs = [1.05 * (1e6 / 1.05) ** (i / (n - 1)) for i in range(n)]
-    for a in (alpha, 1.25, 1.1, 1.02):
-        ok_from = None
-        for i in range(n - 1, -1, -1):
-            x = xs[i]
-            if abs(psi(x)) >= x ** a and abs(psi(-x)) >= x ** a:
-                ok_from = i
-            else:
-                break
-        if ok_from is not None:
-            return (a, xs[ok_from])
-    raise VerificationError("no grid-certified minorant found (unexpected for deg >= 2)")

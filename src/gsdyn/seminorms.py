@@ -1,28 +1,34 @@
-"""Gelfand-Shilov seminorm evaluation with certified truncation.
+"""Gelfand-Shilov seminorm evaluation over a finite search set.
 
-The supremum over derivative/monomial orders (j, q) is cut off at j+q <= M
-using the parameter-shift tail bound; the spatial supremum runs over a
-log-symmetric grid with golden-section refinement around the incumbents.
-Everything is carried as log-values, and the report states exactly what
-finite evidence backs the number.
+The supremum over derivative/monomial orders (j, q) is cut off at j+q <= M.
+M doubles from M_INIT while the ring of cells next to the cut (j+q >= M-2)
+comes within a factor EPS_TAIL of the best cell; this ring check is a
+heuristic, not a tail bound.  The spatial supremum runs over a log-symmetric
+grid with golden-section refinement around the incumbents, so it is a lower
+bound.  Everything is carried as log-values, and the report states exactly
+what finite evidence backs the number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .conjugate import lambda_shift_constants, young_conjugate, ShiftConstants
+from .conjugate import ShiftConstants, _golden_max, lambda_shift_constants, young_conjugate
 from .errors import ConfigurationError, DomainError, InconclusiveError
 from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated
 from .weights import Weight
 
 NEG_INF = float("-inf")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+M_INIT = 16  # first truncation order of an automatic search
+M_CAP = 256  # largest truncation order it may double to
+EPS_TAIL = 1e-12  # the ring next to the cut must stay below EPS_TAIL x best
+REFINE_STEPS = 90  # golden-section steps per refined cell
+REFINE_TOP = 6  # cells refined after the grid search
 
 FAMILIES = ("plainp", "globalp", "expq", "gevreyseq")
 
@@ -111,18 +117,11 @@ class SearchSpec:
     points: int = 2048
     radius: Optional[float] = None
     m: Optional[int] = None
-    m_init: int = 16
-    m_cap: int = 256
-    eps_tail: float = 1e-12
     refine: bool = True
-    refine_iters: int = 90
-    refine_top: int = 6
 
     def __post_init__(self):
         if self.points < 32:
             raise ConfigurationError("spatial grid needs >= 32 points")
-        if self.eps_tail <= 0 or self.eps_tail >= 1:
-            raise ConfigurationError("eps_tail must lie in (0, 1)")
         if self.m is not None and self.m < 0:
             raise ConfigurationError("truncation order must be >= 0")
 
@@ -223,66 +222,39 @@ class _Cell:
     x_index: int
 
 
-def _grid_cells(
-    spec: SeminormSpec,
-    jlogs: np.ndarray,
-    spatial: np.ndarray,
-    m: int,
-    xs: np.ndarray,
-) -> List[_Cell]:
+def _grid_cells(model: FunctionModel, spec: SeminormSpec, xs: np.ndarray, m: int) -> List[_Cell]:
+    """The best grid point of every cell j+q <= m (q = 0 only for expq).
+
+    A vanishing cell reports the middle of the grid: 0.0 on the symmetric
+    search grid, the center for a prescribed jet's one-point grid.
+    """
+    _, jlogs = model.grid_jets(xs, m)
+    spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
+    middle = float(xs[len(xs) // 2])
     cells: List[_Cell] = []
     for j in range(m + 1):
-        q_hi = 0 if not spec.uses_q else m - j
-        row = jlogs[j]
-        for q in range(q_hi + 1):
-            vals = row + spatial[q if spec.uses_q else 0]
+        for q in range(m - j + 1 if spec.uses_q else 1):
+            vals = jlogs[j] + spatial[q]
             i = int(np.argmax(vals))
             top = float(vals[i])
             if top == NEG_INF:
-                cells.append(_Cell(j, q, NEG_INF, 0.0, i))
-                continue
-            cells.append(
-                _Cell(j, q, top + spec.index_log_factor(j, q), float(xs[i]), i)
-            )
+                cells.append(_Cell(j, q, NEG_INF, middle, i))
+            else:
+                cells.append(_Cell(j, q, top + spec.index_log_factor(j, q), float(xs[i]), i))
     return cells
 
 
-def _cell_objective(
-    model: FunctionModel, spec: SeminormSpec, j: int, q: int
-) -> Callable[[float], float]:
-    def g(x: float) -> float:
-        s, l = model.jet(x, j).entry(j)
-        return NEG_INF if s == 0 else l + spec.spatial_log(x, q)
-
-    return g
-
-
-def _refine_cell(
-    model: FunctionModel,
-    spec: SeminormSpec,
-    cell: _Cell,
-    xs: np.ndarray,
-    iters: int,
-) -> _Cell:
+def _refine_cell(model: FunctionModel, spec: SeminormSpec, cell: _Cell, xs: np.ndarray) -> _Cell:
     if cell.log_value == NEG_INF:
         return cell
-    g = _cell_objective(model, spec, cell.j, cell.q)
+
+    def g(x: float) -> float:
+        s, l = model.jet(x, cell.j).entry(cell.j)
+        return NEG_INF if s == 0 else l + spec.spatial_log(x, cell.q)
+
     i = cell.x_index
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = g(d)
-    x_star = 0.5 * (a + b)
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+    x_star = _golden_max(g, a, b, REFINE_STEPS)
     refined = g(x_star) + spec.index_log_factor(cell.j, cell.q)
     if refined > cell.log_value:
         return _Cell(cell.j, cell.q, refined, x_star, cell.x_index)
@@ -294,26 +266,11 @@ def _cell_order(c: _Cell) -> Tuple[float, int, int]:
     return (-c.log_value, c.j + c.q, c.j)
 
 
-def _prescribed_eval(
-    model: PrescribedJet, spec: SeminormSpec, search: SearchSpec
+def _report(
+    cells: List[_Cell], m: int, radius: float, certificates: Dict[str, object]
 ) -> AttainmentReport:
-    if search.radius is not None:
-        raise DomainError("prescribed jets only support center evaluation")
-    orders = [n for n, _ in model.entries]
-    m = search.m if search.m is not None else (max(orders) if orders else 0)
-    jet = model.jet(model.center, m)
-    x = model.center
-    cells: List[_Cell] = []
-    for j in range(m + 1):
-        s, l = jet.entry(j)
-        q_hi = 0 if not spec.uses_q else max(0, m - j)
-        for q in range(q_hi + 1):
-            if s == 0:
-                cells.append(_Cell(j, q, NEG_INF, x, 0))
-                continue
-            value = l + spec.spatial_log(x, q) + spec.index_log_factor(j, q)
-            cells.append(_Cell(j, q, value, x, 0))
-    cells.sort(key=_cell_order)
+    """Report the first of the sorted cells; each (j, q) occurs once, so the
+    runner-up is the second."""
     best = cells[0]
     runner = cells[1] if len(cells) > 1 else None
     return AttainmentReport(
@@ -322,12 +279,10 @@ def _prescribed_eval(
         q=best.q,
         x=best.x,
         truncation_m=m,
-        radius=0.0,
-        runner_up=None
-        if runner is None
-        else (runner.j, runner.q, runner.x, runner.log_value),
+        radius=radius,
+        runner_up=None if runner is None else (runner.j, runner.q, runner.x, runner.log_value),
         gap=NEG_INF if runner is None else best.log_value - runner.log_value,
-        certificates={"kind": "prescribed-jet", "center": x},
+        certificates=certificates,
     )
 
 
@@ -336,74 +291,56 @@ def eval_seminorm(
 ) -> AttainmentReport:
     """Maximize the seminorm expression over {j+q <= M} x [-R, R].
 
-    M doubles until the indices near the cut contribute below eps_tail of
-    the incumbent (in log terms); R doubles while the spatial argmax sits
-    on the outer edge of the grid.
+    M doubles until the ring j+q >= M-2 next to the cut stays below EPS_TAIL
+    times the best cell (in log terms); R doubles while the spatial argmax
+    sits on the outer edge of the grid.  A prescribed jet is evaluated at its
+    center only, with M its highest prescribed order unless search.m is set.
     """
     if isinstance(model, PrescribedJet):
-        return _prescribed_eval(model, spec, search)
-    m = search.m if search.m is not None else search.m_init
+        if search.radius is not None:
+            raise DomainError("prescribed jets only support center evaluation")
+        m = search.m if search.m is not None else max((n for n, _ in model.entries), default=0)
+        cells = sorted(_grid_cells(model, spec, np.array([model.center]), m), key=_cell_order)
+        return _report(cells, m, 0.0, {"kind": "prescribed-jet", "center": model.center})
+    m = search.m if search.m is not None else M_INIT
     radius = search.radius
     while True:
         r = radius if radius is not None else default_radius(model, m)
         xs = _grid(r, search.points)
-        _, jlogs = model.grid_jets(xs, m)
-        spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
-        cells = _grid_cells(spec, jlogs, spatial, m, xs)
-        cells.sort(key=_cell_order)
+        cells = sorted(_grid_cells(model, spec, xs, m), key=_cell_order)
         best = cells[0]
         if best.log_value == NEG_INF:
             raise InconclusiveError("seminorm vanished on the whole search set")
-        # spatial certificate: argmax strictly inside the grid
+        # spatial check: argmax strictly inside the grid
         if abs(best.x) > 0.98 * r:
             if search.radius is not None or r > 1e6:
                 raise InconclusiveError("spatial argmax on the grid edge at |x|=%g" % r)
             radius = 2.0 * r
             continue
-        # tail certificate: cells near the cut are negligible
-        log_eps = math.log(search.eps_tail)
-        ring = [
-            c.log_value for c in cells if c.j + c.q >= m - 2
-        ] if spec.uses_q else [c.log_value for c in cells if c.j >= m - 2]
-        boundary = max(ring) if ring else NEG_INF
-        if boundary > best.log_value + log_eps:
+        # ring check: cells next to the cut are negligible (expq cells have q = 0)
+        boundary = max(c.log_value for c in cells if c.j + c.q >= m - 2)
+        if boundary > best.log_value + math.log(EPS_TAIL):
             if search.m is not None:
                 raise InconclusiveError(
                     "attainment too close to the truncation cut j+q <= %d" % m
                 )
-            if 2 * m > search.m_cap:
+            if 2 * m > M_CAP:
                 raise InconclusiveError(
-                    "truncation cap %d reached without a tail certificate"
-                    % search.m_cap
+                    "truncation cap %d reached without a tail certificate" % M_CAP
                 )
             m *= 2
             continue
         break
     if search.refine:
-        top = cells[: search.refine_top]
-        refined = [_refine_cell(model, spec, c, xs, search.refine_iters) for c in top]
-        refined.sort(key=_cell_order)
-        cells = refined + cells[search.refine_top :]
-        best = cells[0]
-    runner = None
-    for c in cells[1:]:
-        if (c.j, c.q) != (best.j, best.q):
-            runner = c
-            break
-    return AttainmentReport(
-        log_value=best.log_value,
-        j=best.j,
-        q=best.q,
-        x=best.x,
-        truncation_m=m,
-        radius=r,
-        runner_up=None
-        if runner is None
-        else (runner.j, runner.q, runner.x, runner.log_value),
-        gap=NEG_INF if runner is None else best.log_value - runner.log_value,
-        certificates={
+        top = [_refine_cell(model, spec, c, xs) for c in cells[:REFINE_TOP]]
+        cells = sorted(top, key=_cell_order) + cells[REFINE_TOP:]
+    return _report(
+        cells,
+        m,
+        r,
+        {
             "boundary_log_max": boundary,
-            "tail_eps": search.eps_tail,
+            "tail_eps": EPS_TAIL,
             "grid_points": len(xs),
             "refined": search.refine,
         },
@@ -421,12 +358,9 @@ def attainment_matrix(
         raise DomainError("attainment matrices need a spatial model")
     r = search.radius if search.radius is not None else default_radius(model, m)
     xs = _grid(r, search.points)
-    _, jlogs = model.grid_jets(xs, m)
-    spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
-    cells = _grid_cells(spec, jlogs, spatial, m, xs)
     out = np.full((m + 1, m + 1), NEG_INF)
-    for c in cells:
+    for c in _grid_cells(model, spec, xs, m):
         if search.refine:
-            c = _refine_cell(model, spec, c, xs, search.refine_iters)
+            c = _refine_cell(model, spec, c, xs)
         out[c.j, c.q] = c.log_value
     return out

@@ -140,36 +140,16 @@ def parse_weight(text: str) -> Weight:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Log-spaced certification grid on (0, t_max]."""
-
-    t_max: float = 1e100
-    points: int = 400
-    safety: float = 1.05
-    logcond_gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.points < 16:
-            raise ConfigurationError("grid needs at least 16 points, got %d" % self.points)
-        if self.t_max < 1e6:
-            raise ConfigurationError("grid must reach t_max >= 1e6, got %g" % self.t_max)
-
-    def values(self, lo: float = 1e-6, hi: Optional[float] = None) -> List[float]:
-        hi = self.t_max if hi is None else hi
-        n = self.points
-        r = math.log(hi / lo) / (n - 1)
-        return [lo * math.exp(r * i) for i in range(n)]
-
-    def describe(self) -> str:
-        return "log grid, %d points on (0, %g], safety %.3g" % (
-            self.points,
-            self.t_max,
-            self.safety,
-        )
+GRID_T_MAX = 1e100  # the certification grid is log-spaced on [1e-6, GRID_T_MAX]
+GRID_POINTS = 400
+SAFETY = 1.05  # factor applied to the constants a sweep finds
+LOGCOND_GAMMA = 2.0
+_GRID = "log grid, %d points on (0, %g], safety %.3g" % (GRID_POINTS, GRID_T_MAX, SAFETY)
 
 
-DEFAULT_GRID = GridSpec()
+def _log_grid(lo: float = 1e-6, hi: float = GRID_T_MAX, n: int = GRID_POINTS) -> List[float]:
+    r = math.log(hi / lo) / (n - 1)
+    return [lo * math.exp(r * i) for i in range(n)]
 
 
 @dataclass
@@ -201,12 +181,12 @@ def _log1p_sq(t: float) -> float:
     return math.log1p(t * t)
 
 
-def _check_alpha(w: Weight, g: GridSpec) -> ConditionReport:
+def _check_alpha(w: Weight) -> ConditionReport:
     sup = 0.0
-    for t in g.values():
+    for t in _log_grid():
         sup = max(sup, w(2.0 * t) / (w(t) + 1.0))
-    big_l = max(1.0, g.safety * sup)
-    return ConditionReport("alpha", "holds", {"L": big_l}, None, g.describe())
+    big_l = max(1.0, SAFETY * sup)
+    return ConditionReport("alpha", "holds", {"L": big_l}, None, _GRID)
 
 
 def _tail_exponent(w: Weight, t_hi: float) -> float:
@@ -217,21 +197,21 @@ def _tail_exponent(w: Weight, t_hi: float) -> float:
     return (math.log(hi) - math.log(lo)) / math.log(100.0)
 
 
-def _check_beta(w: Weight, g: GridSpec) -> ConditionReport:
-    t_quad = min(g.t_max, 1e8)
+def _check_beta(w: Weight) -> ConditionReport:
+    t_quad = min(GRID_T_MAX, 1e8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         integral, _ = integrate.quad(
             lambda t: w(t) / (1.0 + t * t), 0.0, t_quad, limit=400
         )
-    beta_hat = _tail_exponent(w, g.t_max)
+    beta_hat = _tail_exponent(w, GRID_T_MAX)
     if beta_hat >= 0.99:
         return ConditionReport(
             "beta",
             "inconclusive",
             {"tail_exponent": beta_hat},
             None,
-            g.describe(),
+            _GRID,
         )
     # omega(t) <= omega(T)(t/T)^beta for t >= T (log-log slope non-increasing
     # for the in-scope families), hence the tail integral is bounded by:
@@ -241,44 +221,44 @@ def _check_beta(w: Weight, g: GridSpec) -> ConditionReport:
         "holds",
         {"integral": integral + tail, "tail_exponent": beta_hat},
         None,
-        g.describe(),
+        _GRID,
     )
 
 
-def _check_gamma(w: Weight, g: GridSpec) -> ConditionReport:
-    ts = g.values()
+def _check_gamma(w: Weight) -> ConditionReport:
+    ts = _log_grid()
     tail = ts[-max(8, len(ts) // 10):]
     ratios = [_log1p_sq(t) / w(t) for t in tail]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(ratios, ratios[1:]))
     if monotone and ratios[-1] < 0.01:
         return ConditionReport(
-            "gamma", "holds", {"final_ratio": ratios[-1]}, None, g.describe()
+            "gamma", "holds", {"final_ratio": ratios[-1]}, None, _GRID
         )
     return ConditionReport(
         "gamma",
         "fails",
         {"final_ratio": ratios[-1]},
         tail[-1],
-        g.describe(),
+        _GRID,
     )
 
 
-def _check_delta(w: Weight, g: GridSpec) -> ConditionReport:
-    hi = math.log(g.t_max)
-    n = max(64, g.points)
+def _check_delta(w: Weight) -> ConditionReport:
+    hi = math.log(GRID_T_MAX)
+    n = GRID_POINTS
     us = [hi * i / (n - 1) for i in range(n)]
     vals = [w(math.exp(u)) for u in us]
     for i in range(1, n - 1):
         d2 = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
         if d2 < -1e-9 * (1.0 + abs(vals[i])):
             return ConditionReport(
-                "delta", "fails", {"second_difference": d2}, math.exp(us[i]), g.describe()
+                "delta", "fails", {"second_difference": d2}, math.exp(us[i]), _GRID
             )
-    return ConditionReport("delta", "holds", {}, None, g.describe())
+    return ConditionReport("delta", "holds", {}, None, _GRID)
 
 
-def _check_epsilon(w: Weight, g: GridSpec) -> ConditionReport:
-    ys = GridSpec(t_max=1e6, points=25).values(lo=1e-2)
+def _check_epsilon(w: Weight) -> ConditionReport:
+    ys = _log_grid(1e-2, 1e6, 25)
     sup = 0.0
     y_at = ys[0]
     for y in ys:
@@ -288,16 +268,16 @@ def _check_epsilon(w: Weight, g: GridSpec) -> ConditionReport:
         if ratio > sup:
             sup, y_at = ratio, y
     return ConditionReport(
-        "epsilon", "holds", {"C": g.safety * sup, "argmax_y": y_at}, None, g.describe()
+        "epsilon", "holds", {"C": SAFETY * sup, "argmax_y": y_at}, None, _GRID
     )
 
 
 _ZETA_CANDIDATES = tuple(range(1, 11)) + tuple(2 ** k for k in range(4, 18))
 
 
-def _check_zeta(w: Weight, g: GridSpec) -> ConditionReport:
+def _check_zeta(w: Weight) -> ConditionReport:
     # condition is asymptotic, so probe far past the regular grid
-    ts = GridSpec(t_max=1e300, points=g.points).values()
+    ts = _log_grid(hi=1e300)
     for big_h in _ZETA_CANDIDATES:
         ok = True
         for t in ts:
@@ -307,7 +287,7 @@ def _check_zeta(w: Weight, g: GridSpec) -> ConditionReport:
                 ok = False
                 break
         if ok:
-            return ConditionReport("zeta", "holds", {"H": float(big_h)}, None, g.describe())
+            return ConditionReport("zeta", "holds", {"H": float(big_h)}, None, _GRID)
     big_h = _ZETA_CANDIDATES[-1]
     worst_t, worst = None, 0.0
     for t in ts:
@@ -319,16 +299,16 @@ def _check_zeta(w: Weight, g: GridSpec) -> ConditionReport:
         "fails",
         {"H_max_tried": float(big_h), "violation": worst},
         worst_t,
-        g.describe(),
+        _GRID,
     )
 
 
 _LOGCOND_CAP = 1e6
 
 
-def _check_logcond(w: Weight, g: GridSpec) -> ConditionReport:
-    gamma = g.logcond_gamma
-    ts = GridSpec(t_max=min(g.t_max, 1e150), points=g.points).values()
+def _check_logcond(w: Weight) -> ConditionReport:
+    gamma = LOGCOND_GAMMA
+    ts = _log_grid()
     sup = 0.0
     for t in ts:
         ratio = w(t ** gamma) / (1.0 + w(t))
@@ -338,16 +318,16 @@ def _check_logcond(w: Weight, g: GridSpec) -> ConditionReport:
                 "fails",
                 {"gamma": gamma, "ratio": ratio},
                 t,
-                g.describe(),
+                _GRID,
             )
         sup = max(sup, ratio)
     return ConditionReport(
-        "logcond", "holds", {"gamma": gamma, "C": g.safety * sup}, None, g.describe()
+        "logcond", "holds", {"gamma": gamma, "C": SAFETY * sup}, None, _GRID
     )
 
 
-def _check_subadditive(w: Weight, g: GridSpec) -> ConditionReport:
-    ts = [0.0] + g.values()[:: max(1, g.points // 48)]
+def _check_subadditive(w: Weight) -> ConditionReport:
+    ts = [0.0] + _log_grid()[:: GRID_POINTS // 48]
     for i, t1 in enumerate(ts):
         for t2 in ts[i:]:
             lhs = w(min(t1 + t2, 1e307))
@@ -358,9 +338,9 @@ def _check_subadditive(w: Weight, g: GridSpec) -> ConditionReport:
                     "fails",
                     {"violation": lhs - rhs},
                     [t1, t2],
-                    g.describe(),
+                    _GRID,
                 )
-    return ConditionReport("subadditive", "holds", {}, None, g.describe())
+    return ConditionReport("subadditive", "holds", {}, None, _GRID)
 
 
 _CHECKS = {
@@ -375,88 +355,15 @@ _CHECKS = {
 }
 
 
-def check_condition(w: Weight, condition: str, grid: Optional[GridSpec] = None) -> ConditionReport:
-    grid = DEFAULT_GRID if grid is None else grid
+def check_condition(w: Weight, condition: str) -> ConditionReport:
     try:
         fn = _CHECKS[condition]
     except KeyError:
         raise ConfigurationError(
             "unknown condition %r (expected one of %s)" % (condition, ", ".join(CONDITIONS))
         ) from None
-    return fn(w, grid)
+    return fn(w)
 
 
-def check_all_conditions(w: Weight, grid: Optional[GridSpec] = None) -> List[ConditionReport]:
-    return [check_condition(w, c, grid) for c in CONDITIONS]
-
-
-# --------------------------------------------------------------------------
-# weight sequences (Gevrey-factorial generator only)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightSequence:
-    """M_p = (p!)**s for s > 1, tabulated up to max_index."""
-
-    s: float
-    max_index: int = 50
-
-    def __post_init__(self):
-        if not self.s > 1:
-            raise DomainError("Gevrey-factorial exponent must satisfy s > 1")
-        if self.max_index < 10:
-            raise ConfigurationError("max_index must be at least 10")
-
-    def log_m(self, p: int) -> float:
-        return self.s * math.lgamma(p + 1)
-
-    def ratio(self, p: int) -> float:
-        """m_p = M_p / M_{p-1} = p**s."""
-        return float(p) ** self.s
-
-
-def check_weight_sequence(ws: WeightSequence) -> List[ConditionReport]:
-    reports = []
-    n = ws.max_index
-    desc = "indices 0..%d" % n
-
-    # (M0) with witness c = 1/e; p log((p+1)/e) <= log M_p
-    ok = all(p * (math.log(p + 1) - 1.0) <= ws.log_m(p) + 1e-12 for p in range(n + 1))
-    reports.append(
-        ConditionReport("M0", "holds" if ok else "fails", {"c": 1.0 / math.e}, None, desc)
-    )
-
-    # log-convexity M_p^2 <= M_{p-1} M_{p+1}, exact on the factorial base.
-    # (The commonly printed variant with M_{2p} on the left is not what we
-    # check; see the index-doubling note in the report grid string.)
-    conv = all(
-        math.factorial(p + 1) * math.factorial(p - 1) >= math.factorial(p) ** 2
-        for p in range(1, n)
-    )
-    reports.append(
-        ConditionReport(
-            "M1",
-            "holds" if conv else "fails",
-            {},
-            None,
-            desc + "; checked as log-convexity M_p^2 <= M_{p-1} M_{p+1}",
-        )
-    )
-
-    # (M2) with A = 1: H >= (M_p / min_q M_q M_{p-q})^(1/p)
-    need = 0.0
-    for p in range(1, n + 1):
-        m_min = min(ws.log_m(q) + ws.log_m(p - q) for q in range(p + 1))
-        need = max(need, (ws.log_m(p) - m_min) / p)
-    big_h = 1.05 * math.exp(need)
-    reports.append(ConditionReport("M2", "holds", {"A": 1.0, "H": big_h}, None, desc))
-
-    # (M3)' truncated sum with integral tail bound for sum_{j>n} j^(-s)
-    tail = float(n) ** (1.0 - ws.s) / (ws.s - 1.0)
-    sup = 0.0
-    for p in range(1, n + 1):
-        partial = sum(j ** (-ws.s) for j in range(p, n + 1)) + tail
-        sup = max(sup, ws.ratio(p) / p * partial)
-    reports.append(ConditionReport("M3'", "holds", {"sup": sup, "tail_bound": tail}, None, desc))
-    return reports
+def check_all_conditions(w: Weight) -> List[ConditionReport]:
+    return [check_condition(w, c) for c in CONDITIONS]

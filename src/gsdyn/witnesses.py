@@ -9,7 +9,7 @@ machine-checkable stand-ins for (m-)topologizability statements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -35,17 +35,16 @@ from .jets import (
     jet_of_polynomial,
 )
 from .polynomials import Polynomial, iterate
-from .seminorms import (
-    AttainmentReport,
-    SearchSpec,
-    SeminormSpec,
-    attainment_matrix,
-    eval_seminorm,
-)
-from .weights import Gevrey, Weight, check_condition, sigma_transform
+from .seminorms import SearchSpec, SeminormSpec, attainment_matrix, eval_seminorm
+from .weights import SAFETY, Gevrey, Weight, check_condition, sigma_transform
 
 LOG2 = math.log(2.0)
 NEG_INF = float("-inf")
+
+Q_T_HI = 1e5  # q_linear_bound certifies omega(t) <= Q t on [1, Q_T_HI]
+DEG2_SEARCH = SearchSpec(points=512, radius=6.0)  # the deg >= 2 numerators
+DELTA_SCAN_CAP = 100000  # largest j the dilation-delta scan may reach
+ETA_GRID = np.linspace(-6.0, 6.0, 25)  # frequencies of the Fourier check
 
 
 # --------------------------------------------------------------------------
@@ -83,10 +82,10 @@ class GrowthSeries:
 
 def classify_growth(
     values: List[Tuple[int, float]],
-    window: Optional[int] = None,
     details: Optional[Dict[str, object]] = None,
 ) -> GrowthSeries:
-    """Classify a finite log-value series by its tail behaviour.
+    """Classify a finite log-value series by its tail behaviour, over the
+    last max(3, n // 2) points (at most n - 1).
 
     constant: all increments vanish (to 1e-12);
     bounded: tail log-value span < 0.5;
@@ -99,8 +98,7 @@ def classify_growth(
     for (i0, v0), (i1, v1) in zip(values, values[1:]):
         pts.append(GrowthPoint(i1, v1, v1 - v0))
     n = len(pts)
-    w = window if window is not None else max(3, n // 2)
-    w = min(w, n - 1)
+    w = min(max(3, n // 2), n - 1)
     tail_vals = [p.log_value for p in pts[-w:]]
     tail_ratios = [p.log_ratio for p in pts[-w:]]
     det = dict(details or {})
@@ -130,10 +128,10 @@ def _reclassify(series: GrowthSeries, classification: str) -> GrowthSeries:
 # --------------------------------------------------------------------------
 
 
-def q_linear_bound(w: Weight, t_hi: float = 1e5, safety: float = 1.05) -> float:
-    """Grid-certified Q with omega(t) <= Q t on [1, t_hi]."""
-    ts = np.exp(np.linspace(0.0, math.log(t_hi), 2000))
-    return safety * max(w(float(t)) / float(t) for t in ts)
+def q_linear_bound(w: Weight) -> float:
+    """Grid-certified Q with omega(t) <= Q t on [1, Q_T_HI]."""
+    ts = np.exp(np.linspace(0.0, math.log(Q_T_HI), 2000))
+    return SAFETY * max(w(float(t)) / float(t) for t in ts)
 
 
 def _fit_slope(points: List[GrowthPoint], window: int) -> float:
@@ -154,7 +152,6 @@ def witness_translation(
     mu: float,
     f: FunctionModel,
     m_max: int,
-    search: SearchSpec = SearchSpec(),
 ) -> GrowthSeries:
     """Series log q_{w,lam,mu}(f(. + m)) - log q_{w,lam,mu}(f) for m = 0..m_max.
 
@@ -167,10 +164,10 @@ def witness_translation(
     big_l = float(rep.constants["L"])
     big_q = q_linear_bound(w)
     spec = SeminormSpec("expq", w, lam=lam, mu=mu)
-    base = eval_seminorm(f, spec, search).log_value
+    base = eval_seminorm(f, spec).log_value
     values: List[Tuple[int, float]] = [(0, 0.0)]
     for m in range(1, m_max + 1):
-        v = eval_seminorm(Translated(f, float(m)), spec, search).log_value
+        v = eval_seminorm(Translated(f, float(m)), spec).log_value
         values.append((m, v - base))
     series = classify_growth(values)
     slope = _fit_slope(list(series.points), series.window)
@@ -209,7 +206,6 @@ def rho_construction(
     lam: float,
     m: int,
     direction: str = "derivative",
-    search: SearchSpec = SearchSpec(),
 ) -> RhoConstruction:
     """Scale f so the p_lam attainment satisfies j - q >= m (or mirrored).
 
@@ -224,14 +220,14 @@ def rho_construction(
     if m < 0:
         raise DomainError("dominance order must be >= 0")
     spec = SeminormSpec("plainp", w, lam=lam)
-    base = eval_seminorm(f, spec, search)
+    base = eval_seminorm(f, spec)
     if m == 0 and (
         base.j >= base.q if direction == "derivative" else base.q >= base.j
     ):
         return RhoConstruction(
             1.0, 0, direction, f, (base.j, base.q, base.x), base.truncation_m, 0.0
         )
-    cheap = replace(search, refine=False)
+    cheap = SearchSpec(refine=False)
     m0 = m + 1
     trunc = 4 * m0 + 16
     while True:
@@ -274,7 +270,7 @@ def rho_construction(
     log_rho = float(max(math.log(1.05) + max(log_ratios), math.log(1.05)))
     rho = math.exp(log_rho)
     g: FunctionModel = Scaled(f, rho if direction == "derivative" else 1.0 / rho)
-    check = eval_seminorm(g, spec, search)
+    check = eval_seminorm(g, spec)
     diff = check.j - check.q if direction == "derivative" else check.q - check.j
     if diff < m:
         raise VerificationError(
@@ -298,7 +294,6 @@ def witness_dilation_blowup(
     h: float,
     m: int,
     ell_max: int,
-    search: SearchSpec = SearchSpec(),
 ) -> GrowthSeries:
     """Series over ell of log p_k(g_ell(a^m .)) - log p_h(g_ell), where g_ell
     is rho-constructed so its p_h attainment has j - q >= ell.
@@ -329,8 +324,8 @@ def witness_dilation_blowup(
     spec_h = SeminormSpec("plainp", w, lam=h)
     if abs(a) == 1.0:
         f = Gaussian(1.0)
-        v_id = eval_seminorm(f, spec_k, search).log_value
-        v_ref = eval_seminorm(Scaled(f, a ** m), spec_k, search).log_value
+        v_id = eval_seminorm(f, spec_k).log_value
+        v_ref = eval_seminorm(Scaled(f, a ** m), spec_k).log_value
         if abs(v_ref - v_id) > 1e-12 * max(1.0, abs(v_id)):
             raise VerificationError(
                 "seminorm not invariant under x -> %gx (gap %g)" % (a, v_ref - v_id)
@@ -345,9 +340,9 @@ def witness_dilation_blowup(
     gaps: List[int] = []
     log_rhos: List[float] = []
     for ell in range(1, ell_max + 1):
-        rc = rho_construction(f, w, h, ell, "derivative", search)
-        den = eval_seminorm(rc.model, spec_h, search)
-        num = eval_seminorm(Scaled(rc.model, scale), spec_k, search)
+        rc = rho_construction(f, w, h, ell, "derivative")
+        den = eval_seminorm(rc.model, spec_h)
+        num = eval_seminorm(Scaled(rc.model, scale), spec_k)
         v = num.log_value - den.log_value
         values.append((ell, v))
         gaps.append(den.j - den.q)
@@ -562,7 +557,6 @@ def witness_deg2_topologizable(
     psi: Polynomial,
     lam: float,
     m_max: int,
-    search: Optional[SearchSpec] = None,
 ) -> Deg2Report:
     """M_m = log [p_{sigma,lam}(f o psi_m) / p_{w,mu}(f)] for f = Gaussian.
 
@@ -578,80 +572,17 @@ def witness_deg2_topologizable(
     mu = lambda_shift_constants(w, lam).mu
     sigma = sigma_transform(w, a)
     f = Gaussian(1.0)
-    if search is None:
-        search = SearchSpec(points=512, radius=6.0)
-    den = eval_seminorm(f, SeminormSpec("plainp", w, lam=mu), SearchSpec())
+    den = eval_seminorm(f, SeminormSpec("plainp", w, lam=mu))
     spec_num = SeminormSpec("plainp", sigma, lam=lam)
     rows: List[Deg2Row] = []
     finite = True
     for m in range(1, m_max + 1):
-        num = eval_seminorm(Composed(f, iterate(psi, m)), spec_num, search)
+        num = eval_seminorm(Composed(f, iterate(psi, m)), spec_num, DEG2_SEARCH)
         val = num.log_value - den.log_value
         if not math.isfinite(val):
             finite = False
         rows.append(Deg2Row(m, val, num.j, num.q, num.x, num.truncation_m))
     return Deg2Report(mu, sigma.spec(), tuple(rows), finite)
-
-
-def envelope_constant(psi: Polynomial, m_max: int = 40) -> float:
-    """C0 = sup over m <= m_max, x of (1 + |x|) / (1 + |psi_m(x)|)."""
-    if psi.degree < 1:
-        raise DomainError("envelope constant needs deg(psi) >= 1")
-    xs = np.concatenate(
-        [
-            np.linspace(0.0, 4.0, 2001),
-            1.0 - 2.0 ** -np.arange(1.0, 48.0),
-        ]
-    )
-    xs = np.concatenate([xs, -xs])
-    cs = [float(c) for c in psi.coeffs]
-    ys = xs.copy()
-    best = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(m_max):
-            acc = np.full_like(ys, cs[-1])
-            for c in reversed(cs[:-1]):
-                acc = acc * ys + c
-            ys = acc
-            ratio = (1.0 + np.abs(xs)) / (1.0 + np.abs(ys))
-            ratio = np.nan_to_num(ratio, nan=0.0, posinf=0.0)
-            best = max(best, float(ratio.max()))
-    return best
-
-
-@dataclass(frozen=True)
-class DerivativeBounds:
-    d_m: float
-    delta_m: Fraction
-    sup_ratio: float
-
-
-def derivative_bound_constants(
-    psi: Polynomial, m: int, safety: float = 1.05
-) -> DerivativeBounds:
-    """delta_m = (deg(psi_m)-1)/deg(psi_m); D_m certifies
-    |psi_m^(l)(x)| <= D_m (1 + |psi_m(x)|)^delta_m on a log grid."""
-    if psi.degree < 2:
-        raise DomainError("derivative bounds need deg(psi) >= 2")
-    psi_m = iterate(psi, m)
-    deg = psi_m.degree
-    delta = Fraction(deg - 1, deg)
-    hi = min(1e6, 10.0 ** (280.0 / deg))  # keep x^deg inside double range
-    xs = np.concatenate(
-        [np.linspace(-3.0, 3.0, 1201), np.exp(np.linspace(math.log(3.0), math.log(hi), 800))]
-    )
-    xs = np.concatenate([xs, -xs])
-    sup = 0.0
-    cur = psi_m
-    for _ in range(deg):
-        cur = cur.derivative()
-        if cur.is_zero():
-            break
-        for x in xs:
-            num = abs(float(cur(float(x))))
-            den = (1.0 + abs(float(psi_m(float(x))))) ** float(delta)
-            sup = max(sup, num / den)
-    return DerivativeBounds(safety * sup, delta, sup)
 
 
 # --------------------------------------------------------------------------
@@ -667,9 +598,7 @@ class DilationDelta:
     scanned: int
 
 
-def witness_dilation_delta(
-    w: Weight, a: float, delta: float, lam: float, m: int, scan_cap: int = 100000
-) -> DilationDelta:
+def witness_dilation_delta(w: Weight, a: float, delta: float, lam: float, m: int) -> DilationDelta:
     """D = max_j |a|^(mj) exp(-lam phi*(delta j / lam)), with its maximizer.
 
     |a| < 1 is folded onto |a|^(-1) (the symmetry j -> -j of the bound); |a| = 1
@@ -683,7 +612,7 @@ def witness_dilation_delta(
     best, j_star = NEG_INF, 0
     below = 0
     j = 0
-    while j <= scan_cap:
+    while j <= DELTA_SCAN_CAP:
         term = m * j * log_a - lam * young_conjugate(w, delta * j / lam)
         if term > best:
             best, j_star = term, j
@@ -693,7 +622,7 @@ def witness_dilation_delta(
             if below >= 20:
                 return DilationDelta(math.exp(best), best, j_star, j)
         j += 1
-    raise InconclusiveError("no interior maximizer within %d terms" % scan_cap)
+    raise InconclusiveError("no interior maximizer within %d terms" % DELTA_SCAN_CAP)
 
 
 # --------------------------------------------------------------------------
@@ -708,9 +637,7 @@ class FourierReport:
     eta_count: int
 
 
-def fourier_scaling_check(
-    f: FunctionModel, b: float, eta_grid: Optional[np.ndarray] = None
-) -> FourierReport:
+def fourier_scaling_check(f: FunctionModel, b: float) -> FourierReport:
     """Quadrature check of F(f(b.))(eta) = (1/|b|) (Ff)(eta/b).
 
     For the Gaussian base the right side is also matched against the closed
@@ -719,8 +646,6 @@ def fourier_scaling_check(
         raise DomainError("Fourier scaling needs b != 0")
     if not isinstance(f, Gaussian):
         raise DomainError("the quadrature check is wired for the Gaussian model")
-    if eta_grid is None:
-        eta_grid = np.linspace(-6.0, 6.0, 25)
     s = f.scale
 
     def transform(scale: float, eta: float) -> float:
@@ -735,7 +660,7 @@ def fourier_scaling_check(
         return val
 
     err = 0.0
-    for eta in eta_grid:
+    for eta in ETA_GRID:
         eta = float(eta)
         lhs = transform(s * abs(b), eta)
         rhs = transform(s, eta / b) / abs(b)
@@ -743,7 +668,7 @@ def fourier_scaling_check(
             -(eta ** 2) / (4.0 * (s * b) ** 2)
         )
         err = max(err, abs(lhs - rhs), abs(lhs - closed))
-    return FourierReport(b, err, len(eta_grid))
+    return FourierReport(b, err, len(ETA_GRID))
 
 
 # --------------------------------------------------------------------------
@@ -756,13 +681,10 @@ def witness_iterates(
     f: FunctionModel,
     spec: SeminormSpec,
     m_max: int,
-    search: Optional[SearchSpec] = None,
 ) -> GrowthSeries:
     """Series log p(f o psi_m) for m = 1..m_max, classified."""
-    if search is None:
-        search = SearchSpec(points=512)
     values = []
     for m in range(1, m_max + 1):
-        rep = eval_seminorm(Composed(f, iterate(psi, m)), spec, search)
+        rep = eval_seminorm(Composed(f, iterate(psi, m)), spec, SearchSpec(points=512))
         values.append((m, rep.log_value))
     return classify_growth(values, details={"psi": psi.spec()})

@@ -145,3 +145,29 @@ def test_readme_cli_examples_run():
             continue
         r = run_cli(*argv)
         assert r.returncode == 0, (argv, r.stderr)
+
+
+SEMINORM = ("seminorm", "--model", "gauss:1", "--weight", "gevrey:2", "--format", "json")
+
+
+def test_config_values_parse_as_flags(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"points": "64", "lam": 3}))
+    typed = run_cli(*SEMINORM, "--points", "64", "--lam", "3")
+    from_config = run_cli(*SEMINORM, "--config", str(cfg))
+    assert typed.returncode == 0, typed.stderr
+    assert from_config.returncode == 0, from_config.stderr
+    assert from_config.stdout == typed.stdout
+    # an explicit flag, here through its alias, wins over the config key
+    explicit = run_cli(*SEMINORM, "--config", str(cfg), "--lambda", "2")
+    assert explicit.returncode == 0, explicit.stderr
+    assert explicit.stdout == run_cli(*SEMINORM, "--points", "64", "--lam", "2").stdout
+
+
+def test_config_bad_value_exits_2(tmp_path):
+    for key, value in (("family", "nope"), ("points", "many"), ("m", 2.5)):
+        cfg = tmp_path / ("%s.json" % key)
+        cfg.write_text(json.dumps({key: value}))
+        r = run_cli(*SEMINORM, "--config", str(cfg))
+        assert r.returncode == 2, (key, r.stderr)
+        assert "config key %r" % key in r.stderr

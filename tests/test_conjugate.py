@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdyn.conjugate import lambda_shift_constants, young_conjugate
+from gsdyn.conjugate import _golden_max, lambda_shift_constants, young_conjugate
 from gsdyn.errors import DomainError
 from gsdyn.seminorms import truncation_order
 from gsdyn.weights import Gevrey, LogPower
@@ -89,3 +89,32 @@ def test_invalid_inputs():
         young_conjugate(Gevrey(2.0), -1.0)
     with pytest.raises(DomainError):
         lambda_shift_constants(Gevrey(2.0), 0.0)
+
+
+def test_golden_max_step_rule():
+    # each step shrinks the bracket by the golden ratio, whatever f is
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -((x - 0.3) ** 2)
+
+    x = _golden_max(f, 0.0, 1.0, steps=10)
+    assert len(calls) == 12  # two interior probes, then one per step
+    assert abs(x - 0.3) <= 0.5 * ((math.sqrt(5.0) - 1.0) / 2.0) ** 10
+
+
+def test_golden_max_width_rule():
+    # a kinked maximum at c: the final bracket (width <= 1e-12) still holds c
+    c = math.log(2.0)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -abs(x - c)
+
+    x = _golden_max(f, 0.0, 5.0, width=1e-12)
+    assert abs(x - c) <= 0.5e-12
+    # steps: the smallest n with 5 g^n <= 1e-12
+    steps = math.ceil(math.log(5.0 / 1e-12) / math.log(2.0 / (math.sqrt(5.0) - 1.0)))
+    assert len(calls) == 2 + steps

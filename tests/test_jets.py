@@ -156,6 +156,11 @@ def test_prescribed_jet():
     assert jet.value(1) == 1.0 and jet.value(0) == 0.0 and jet.value(3) == 0.0
     with pytest.raises(DomainError):
         f.jet(2.0, 3)  # only defined at its center
+    signs, logs = f.grid_jets(np.array([1.0]), 3)
+    assert signs[:, 0].tolist() == [0, 1, 0, 0] and logs[1, 0] == 0.0
+    for xs in ([2.0], [1.0, 1.0], [0.0, 1.0, 2.0]):
+        with pytest.raises(DomainError, match="its own center"):
+            f.grid_jets(np.array(xs), 3)
 
 
 def test_parse_model():

@@ -9,7 +9,6 @@ from gsdyn.polynomials import (
     AffineMap,
     AllPointsFixed,
     Polynomial,
-    asymptotic_minorant,
     conjugate_by,
     fixed_points,
     iterate,
@@ -120,10 +119,3 @@ def test_conjugation_round_trip(alpha, beta, coeffs):
     psi = Polynomial.of(coeffs)
     back = conjugate_by(conjugate_by(psi, ell), ell.inverse())
     assert back == psi
-
-
-def test_asymptotic_minorant_square():
-    a, b = asymptotic_minorant(X2)
-    assert a >= 1.5 and b >= 1.0
-    for x in (b, 2 * b, 100.0):
-        assert abs(float(X2(x))) >= x ** a

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gsdyn.conjugate import young_conjugate
 from gsdyn.errors import ConfigurationError, InconclusiveError
-from gsdyn.jets import Gaussian, PrescribedJet, Scaled, Translated
+from gsdyn.jets import Gaussian, PrescribedJet, Scaled, Translated, parse_model
 from gsdyn.seminorms import (
     SearchSpec,
     SeminormSpec,
@@ -15,7 +15,7 @@ from gsdyn.seminorms import (
     eval_seminorm,
     truncation_order,
 )
-from gsdyn.weights import Gevrey
+from gsdyn.weights import Gevrey, LogPower
 
 G2 = Gevrey(2.0)
 
@@ -74,6 +74,39 @@ def test_prescribed_jet_eval():
     rep = eval_seminorm(model, spec, SearchSpec())
     assert rep.log_value == pytest.approx(-young_conjugate(G2, 2.0), abs=1e-12)
     assert (rep.j, rep.q) == (2, 0)
+
+
+PRESCRIBED_SPECS = {
+    "plainp": SeminormSpec("plainp", G2, lam=1.0),
+    "globalp": SeminormSpec("globalp", LogPower(2.0), lam=2.0),
+    "expq": SeminormSpec("expq", G2, mu=1.5),
+    "gevreyseq": SeminormSpec("gevreyseq", mu=2.0, s=1.5),
+}
+
+
+@pytest.mark.parametrize(
+    "literal, family, m, best, runner_up",
+    [
+        # a vanishing cell is the runner-up and still sits at the center
+        ("jet:2:1=1", "plainp", None, (0.6137056388801093, 1, 0, 2.0), (0, 0, 2.0, -math.inf)),
+        ("jet:2:1=1", "gevreyseq", None, (0.6931471805599453, 1, 0, 2.0), (0, 0, 2.0, -math.inf)),
+        ("jet:2:1=1", "gevreyseq", 3, (2.426015131959809, 1, 2, 2.0),
+         (1, 1, 2.0, 2.0794415416798357)),
+        ("jet:-3:0=2,1=-1,3=7", "globalp", None, (3.727030263919617, 0, 3, -3.0),
+         (0, 2, -3.0, 2.9657359027997265)),
+        ("jet:1/2:0=1,4=5", "expq", None, (2.0606601717798214, 0, 0, 0.5),
+         (4, 0, 0.5, -5.965434249224766)),
+        ("jet:1/2:0=1,4=5", "expq", 3, (2.0606601717798214, 0, 0, 0.5), (1, 0, 0.5, -math.inf)),
+        ("jet:0:2=1", "globalp", 3, (-0.5, 2, 0, 0.0), (2, 1, 0.0, -1.125)),
+    ],
+)
+def test_prescribed_jet_families(literal, family, m, best, runner_up):
+    rep = eval_seminorm(parse_model(literal), PRESCRIBED_SPECS[family], SearchSpec(m=m))
+    assert (rep.j, rep.q, rep.x) == best[1:]
+    assert rep.log_value == pytest.approx(best[0], rel=1e-15)
+    assert rep.runner_up[:3] == runner_up[:3]
+    assert rep.runner_up[3] == pytest.approx(runner_up[3], rel=1e-15)
+    assert rep.radius == 0.0 and rep.certificates["center"] == best[3]
 
 
 def test_expq_family_ignores_q():

@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdyn.errors import ConfigurationError, DomainError
+from gsdyn.errors import ConfigurationError
 from gsdyn.weights import (
     CONDITIONS,
     Gevrey,
     LogPower,
     RootComposed,
-    WeightSequence,
     check_all_conditions,
     check_condition,
-    check_weight_sequence,
     gevrey_index,
     parse_weight,
     sigma_transform,
@@ -113,13 +111,3 @@ def test_unknown_condition_rejected():
     with pytest.raises(ConfigurationError):
         check_condition(Gevrey(2.0), "sigma")
     assert "alpha" in CONDITIONS
-
-
-def test_weight_sequence_conditions_hold():
-    reports = check_weight_sequence(WeightSequence(2.0))
-    assert reports and all(r.holds for r in reports)
-
-
-def test_weight_sequence_validation():
-    with pytest.raises(DomainError):
-        WeightSequence(1.0)

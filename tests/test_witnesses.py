@@ -10,8 +10,6 @@ from gsdyn.seminorms import SearchSpec, SeminormSpec
 from gsdyn.weights import Gevrey, LogPower
 from gsdyn.witnesses import (
     classify_growth,
-    derivative_bound_constants,
-    envelope_constant,
     falling_factorial_2m,
     fourier_scaling_check,
     q_linear_bound,
@@ -78,17 +76,6 @@ def test_q_linear_bound_gevrey():
     # sqrt(t) / t peaks at t = 1, so Q is the 1.05 safety factor itself
     q = q_linear_bound(G2)
     assert 1.0 <= q <= 1.1
-
-
-def test_envelope_constant_square():
-    assert envelope_constant(X2) == pytest.approx(2.0, abs=1e-6)
-
-
-def test_derivative_bounds_square():
-    db = derivative_bound_constants(X2, 1)
-    assert db.delta_m == Fraction(1, 2)
-    assert db.sup_ratio == pytest.approx(2.0, abs=1e-9)
-    assert db.d_m == pytest.approx(2.1, abs=1e-6)
 
 
 # ----------------------------------------------------------------- witnesses
