@@ -1,22 +1,25 @@
 """Jets (truncated derivative sequences), partitions, Faa di Bruno composition.
 
 A jet carries f^(n)(center) for n = 0..N as (sign, log-magnitude) pairs,
-plus an exact Fraction track when the underlying data is rational.  The
-production composition path substitutes Taylor series (quadratic cost); the
-multiplicity-partition sum is kept as an independent oracle.
+plus an exact Fraction track (with a Fraction center) when the underlying
+data is rational.  One Taylor substitution, `_compose_series`, serves all
+three arithmetics: Fractions and sign-log pairs in `compose_jet`, numpy rows
+in `Composed.grid_jets`.  The multiplicity-partition sum
+`compose_jet_partitions` is kept as the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import logspace as ls
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, GsdynError, ResourceLimitError
 from .logspace import SLog, ZERO
 from .polynomials import Polynomial
 
@@ -89,7 +92,7 @@ def faa_di_bruno_identity_sum(j: int) -> int:
 
 @dataclass(frozen=True)
 class Jet:
-    center: float
+    center: Union[float, Fraction]  # a Fraction when built from exact values
     signs: Tuple[int, ...]
     logs: Tuple[float, ...]
     exact: Optional[Tuple[Fraction, ...]] = None
@@ -109,7 +112,7 @@ class Jet:
         vals = tuple(Fraction(v) for v in values)
         entries = [ls.slog_of_fraction(v) for v in vals]
         return Jet(
-            center=float(center),
+            center=Fraction(center),
             signs=tuple(e[0] for e in entries),
             logs=tuple(e[1] for e in entries),
             exact=vals,
@@ -135,8 +138,7 @@ class Jet:
 
 def jet_of_polynomial(psi: Polynomial, x0, order: int) -> Jet:
     """Exact jet of a polynomial at a rational point."""
-    vals = psi.derivatives_at(x0, order)
-    return Jet.from_exact(Fraction(x0) if not isinstance(x0, Fraction) else x0, vals)
+    return Jet.from_exact(x0, psi.derivatives_at(x0, order))
 
 
 # --------------------------------------------------------------------------
@@ -152,104 +154,66 @@ def _taylor_slogs(jet: Jet, order: int) -> List[SLog]:
     return out
 
 
-def _slog_series_mul(a: List[SLog], b: List[SLog], order: int) -> List[SLog]:
-    buckets: List[List[SLog]] = [[] for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if ai[0] == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            if bj[0] == 0:
-                continue
-            buckets[i + j].append(ls.slog_mul(ai, bj))
-    return [ls.slog_sum(ts) for ts in buckets]
-
-
-def _compose_slog(f_taylor: List[SLog], p_taylor: List[SLog], order: int) -> List[SLog]:
-    """Taylor series of f o p where p has zero constant term; Horner in f."""
-    acc = [f_taylor[order]] + [ZERO] * order
+def _compose_series(f_t: Sequence, p_t: Sequence, order: int, mul=operator.mul, total=sum) -> list:
+    """Taylor coefficients of f(p(t)) to `order` from those of f and of p; p_t[0]
+    is ignored (f is expanded at p(0)).  Horner in f: acc <- f_k + acc * (p - p_0),
+    each coefficient summed with i ascending.  The arithmetic is the caller's:
+    Fractions, (sign, log) pairs with slog_mul/slog_sum, or numpy rows."""
+    acc = [f_t[order]]
     for k in range(order - 1, -1, -1):
-        acc = _slog_series_mul(acc, p_taylor, order)
-        acc[0] = ls.slog_sum([acc[0], f_taylor[k]])
+        acc = [f_t[k]] + [
+            total(mul(acc[i], p_t[n - i]) for i in range(min(n, len(acc))))
+            for n in range(1, order + 1)
+        ]
     return acc
 
 
-def _compose_exact(f_t: List[Fraction], p_t: List[Fraction], order: int) -> List[Fraction]:
-    acc = [f_t[order]] + [Fraction(0)] * order
-    for k in range(order - 1, -1, -1):
-        nxt = [Fraction(0)] * (order + 1)
-        for i, ai in enumerate(acc):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(p_t):
-                if i + j > order:
-                    break
-                nxt[i + j] += ai * bj
-        nxt[0] += f_t[k]
-        acc = nxt
-    return acc
+def _check_orders(f: Jet, psi: Jet, order: int) -> None:
+    if f.order < order or psi.order < order:
+        raise DomainError("compose_jet needs both jets to carry order >= %d" % (order,))
 
 
 def compose_jet(f: Jet, psi: Jet, order: int) -> Jet:
     """Jet of f o psi at psi's center; f must be centered at psi(center)."""
-    if f.order < order or psi.order < order:
-        raise DomainError(
-            "compose_jet needs both jets to carry order >= %d" % (order,)
-        )
+    _check_orders(f, psi, order)
     if f.exact is not None and psi.exact is not None:
-        if Fraction(f.center) != psi.exact[0]:
+        if f.center != psi.exact[0]:
             raise DomainError("outer jet is not centered at psi(center)")
         f_t = [f.exact[n] / math.factorial(n) for n in range(order + 1)]
         p_t = [psi.exact[n] / math.factorial(n) for n in range(order + 1)]
-        p_t[0] = Fraction(0)
-        c = _compose_exact(f_t, p_t, order)
+        c = _compose_series(f_t, p_t, order)
         return Jet.from_exact(psi.center, [c[n] * math.factorial(n) for n in range(order + 1)])
-    f_t = _taylor_slogs(f, order)
-    p_t = _taylor_slogs(psi, order)
-    p_t[0] = ZERO
-    c = _compose_slog(f_t, p_t, order)
-    entries = [
-        (c[n][0], c[n][1] + math.lgamma(n + 1)) if c[n][0] != 0 else ZERO
-        for n in range(order + 1)
-    ]
+    c = _compose_series(
+        _taylor_slogs(f, order), _taylor_slogs(psi, order), order, ls.slog_mul, ls.slog_sum
+    )
+    entries = [(s, l + math.lgamma(n + 1)) if s != 0 else ZERO for n, (s, l) in enumerate(c)]
     return Jet.from_slogs(psi.center, entries)
 
 
 def compose_jet_partitions(f: Jet, psi: Jet, order: int) -> Jet:
     """Oracle path: the explicit Faa di Bruno partition sum, term by term."""
-    if f.order < order or psi.order < order:
-        raise DomainError("compose_jet needs both jets to carry order >= %d" % (order,))
-    exact = f.exact is not None and psi.exact is not None
-    if exact:
-        out_exact: List[Fraction] = [f.exact[0]]
-        for j in range(1, order + 1):
-            total = Fraction(0)
-            for mp in multiplicity_partitions(j):
-                coeff = Fraction(math.factorial(j))
-                for ell, kl in enumerate(mp.k, start=1):
-                    coeff /= math.factorial(kl) * math.factorial(ell) ** kl
-                term = coeff * f.exact[mp.total]
-                for ell, kl in enumerate(mp.k, start=1):
-                    if kl:
-                        term *= psi.exact[ell] ** kl
-                total += term
-            out_exact.append(total)
-        return Jet.from_exact(psi.center, out_exact)
-    entries: List[SLog] = [f.entry(0)]
+    _check_orders(f, psi, order)
+    if f.exact is not None and psi.exact is not None:
+        lift, mul, power, total = Fraction, operator.mul, operator.pow, sum
+        f_v, p_v, make = f.exact, psi.exact, Jet.from_exact
+    else:
+        lift, mul, power, total = ls.slog_of_fraction, ls.slog_mul, ls.slog_pow, ls.slog_sum
+        f_v, p_v = list(zip(f.signs, f.logs)), list(zip(psi.signs, psi.logs))
+        make = Jet.from_slogs
+    out = [f_v[0]]
     for j in range(1, order + 1):
-        terms: List[SLog] = []
+        terms = []
         for mp in multiplicity_partitions(j):
             coeff = Fraction(math.factorial(j))
             for ell, kl in enumerate(mp.k, start=1):
                 coeff /= math.factorial(kl) * math.factorial(ell) ** kl
-            t = ls.slog_mul(ls.slog_of_fraction(coeff), f.entry(mp.total))
+            t = mul(lift(coeff), f_v[mp.total])
             for ell, kl in enumerate(mp.k, start=1):
                 if kl:
-                    t = ls.slog_mul(t, ls.slog_pow(psi.entry(ell), kl))
+                    t = mul(t, power(p_v[ell], kl))
             terms.append(t)
-        entries.append(ls.slog_sum(terms))
-    return Jet.from_slogs(psi.center, entries)
+        out.append(total(terms))
+    return make(psi.center, out)
 
 
 # --------------------------------------------------------------------------
@@ -471,30 +435,18 @@ class Composed(FunctionModel):
         with np.errstate(invalid="ignore"):
             f_t = f_signs * np.exp(f_t_log - peak[None, :])
         f_t = np.nan_to_num(f_t, nan=0.0)
-        # inner series without its constant term, t-rescaled so |b_i| <= 1
-        b = p_rows.copy()
-        b[0] = 0.0
+        # inner series t-rescaled so |b_i| <= 1 (its constant term is not used)
+        b = p_rows[1:]
         with np.errstate(divide="ignore"):
             per_root = np.where(
-                b[1:] != 0.0,
-                np.log(np.abs(b[1:])) / np.arange(1, order + 1)[:, None],
+                b != 0.0,
+                np.log(np.abs(b)) / np.arange(1, order + 1)[:, None],
                 ls.NEG_INF,
             )
         tau_log = -np.max(per_root, axis=0) if order >= 1 else np.zeros(n_pts)
         tau_log = np.where(np.isfinite(tau_log), tau_log, 0.0)
-        btil = b * np.exp(np.arange(order + 1)[:, None] * tau_log[None, :])
-        acc = np.zeros((order + 1, n_pts))
-        acc[0] = f_t[order]
-        for k in range(order - 1, -1, -1):
-            nxt = np.zeros_like(acc)
-            for i in range(order + 1):
-                row = acc[i]
-                if not row.any():
-                    continue
-                for j in range(1, order + 1 - i):
-                    nxt[i + j] += row * btil[j]
-            nxt[0] += f_t[k]
-            acc = nxt
+        btil = p_rows * np.exp(np.arange(order + 1)[:, None] * tau_log[None, :])
+        acc = np.array(_compose_series(f_t, btil, order))
         out_signs = np.sign(acc).astype(np.int8)
         out_logs = np.full((order + 1, n_pts), ls.NEG_INF)
         nz = acc != 0.0
@@ -511,19 +463,24 @@ def parse_model(text: str) -> FunctionModel:
     """Literals: gauss:<scale>, scaled:<rho>:<inner>, shift:<c>:<inner>,
     jet:<center>:<n=value,...>."""
     kind, _, rest = text.partition(":")
-    if kind == "gauss":
-        return Gaussian(float(rest))
-    if kind == "scaled":
-        rho, _, inner = rest.partition(":")
-        return Scaled(parse_model(inner), float(rho))
-    if kind == "shift":
-        c, _, inner = rest.partition(":")
-        return Translated(parse_model(inner), float(c))
-    if kind == "jet":
-        center, _, pairs = rest.partition(":")
-        entries: Dict[int, Fraction] = {}
-        for part in pairs.split(","):
-            n, _, v = part.partition("=")
-            entries[int(n)] = Fraction(v)
-        return PrescribedJet.of(float(Fraction(center)), entries)
+    try:
+        if kind == "gauss":
+            return Gaussian(float(rest))
+        if kind == "scaled":
+            rho, _, inner = rest.partition(":")
+            return Scaled(parse_model(inner), float(rho))
+        if kind == "shift":
+            c, _, inner = rest.partition(":")
+            return Translated(parse_model(inner), float(c))
+        if kind == "jet":
+            center, _, pairs = rest.partition(":")
+            entries: Dict[int, Fraction] = {}
+            for part in pairs.split(","):
+                n, _, v = part.partition("=")
+                entries[int(n)] = Fraction(v)
+            return PrescribedJet.of(float(Fraction(center)), entries)
+    except GsdynError:  # gsdyn's usage errors are ValueErrors too
+        raise
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("malformed number in function-model literal %r" % (text,)) from None
     raise DomainError("unknown function-model literal %r" % (text,))

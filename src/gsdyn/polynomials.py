@@ -49,7 +49,11 @@ class Polynomial:
     @staticmethod
     def parse(text: str) -> "Polynomial":
         """Comma list of rationals, constant term first: "1/4,0,1" is x^2+1/4."""
-        return Polynomial.of([Fraction(part.strip()) for part in text.split(",")])
+        try:
+            coeffs = [Fraction(part.strip()) for part in text.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise DomainError("malformed polynomial literal %r" % (text,)) from None
+        return Polynomial.of(coeffs)
 
     @staticmethod
     def x() -> "Polynomial":
@@ -102,28 +106,14 @@ class Polynomial:
             return Polynomial.of([0])
         return Polynomial.of([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def taylor_coefficients(self, x0: Fraction, order: int) -> List[Fraction]:
-        """Exact derivatives f^(n)(x0)/n! for n = 0..order."""
-        x0 = _to_fraction(x0)
-        out = []
-        cur = self
-        fact = 1
-        for n in range(order + 1):
-            if n > 0:
-                cur = cur.derivative()
-                fact *= n
-            out.append(cur(x0) / fact)
-        return out
-
     def derivatives_at(self, x0, order: int) -> List[Fraction]:
+        """Exact derivatives f^(n)(x0) for n = 0..order."""
         x0 = _to_fraction(x0)
-        tc = self.taylor_coefficients(x0, order)
-        fact = 1
-        out = []
-        for n, c in enumerate(tc):
-            if n > 0:
-                fact *= n
-            out.append(c * fact)
+        cur = self
+        out = [cur(x0)]
+        for _ in range(order):
+            cur = cur.derivative()
+            out.append(cur(x0))
         return out
 
     def spec(self) -> str:

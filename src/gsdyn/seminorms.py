@@ -54,6 +54,8 @@ class SeminormSpec:
             raise ConfigurationError("unknown seminorm family %r" % (self.family,))
         if self.family != "gevreyseq" and self.weight is None:
             raise ConfigurationError("family %r needs a weight" % (self.family,))
+        if not all(map(math.isfinite, (self.lam, self.mu, self.s))):
+            raise ConfigurationError("seminorm parameters lam, mu, s must be finite")
         if self.lam <= 0 or self.mu <= 0:
             raise ConfigurationError("seminorm parameters lam, mu must be > 0")
         if self.family == "gevreyseq" and self.s <= 1:
@@ -122,6 +124,9 @@ class SearchSpec:
     def __post_init__(self):
         if self.points < 32:
             raise ConfigurationError("spatial grid needs >= 32 points")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ConfigurationError("search radius must be finite and > 0, got %r"
+                                     % (self.radius,))
         if self.m is not None and self.m < 0:
             raise ConfigurationError("truncation order must be >= 0")
 

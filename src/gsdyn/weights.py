@@ -14,7 +14,7 @@ from typing import List, Optional, Union
 
 from scipy import integrate
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, GsdynError
 
 CONDITIONS = (
     "alpha",
@@ -123,15 +123,20 @@ def gevrey_index(w: Weight) -> Optional[float]:
 def parse_weight(text: str) -> Weight:
     """Parse the CLI literal: gevrey:<d>, logpow:<p>, root:<a>:<inner>."""
     head, _, rest = text.strip().partition(":")
-    if head == "gevrey":
-        return Gevrey(float(rest))
-    if head in ("logpow", "logpower"):
-        return LogPower(float(rest))
-    if head == "root":
-        a_text, _, inner = rest.partition(":")
-        if not inner:
-            raise ConfigurationError("root weight needs an inner spec: %r" % text)
-        return RootComposed(parse_weight(inner), float(a_text))
+    try:
+        if head == "gevrey":
+            return Gevrey(float(rest))
+        if head in ("logpow", "logpower"):
+            return LogPower(float(rest))
+        if head == "root":
+            a_text, _, inner = rest.partition(":")
+            if not inner:
+                raise ConfigurationError("root weight needs an inner spec: %r" % text)
+            return RootComposed(parse_weight(inner), float(a_text))
+    except GsdynError:  # gsdyn's usage errors are ValueErrors too
+        raise
+    except ValueError:
+        raise ConfigurationError("malformed number in weight spec %r" % text) from None
     raise ConfigurationError("unknown weight spec %r" % text)
 
 

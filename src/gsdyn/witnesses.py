@@ -44,6 +44,7 @@ NEG_INF = float("-inf")
 Q_T_HI = 1e5  # q_linear_bound certifies omega(t) <= Q t on [1, Q_T_HI]
 DEG2_SEARCH = SearchSpec(points=512, radius=6.0)  # the deg >= 2 numerators
 DELTA_SCAN_CAP = 100000  # largest j the dilation-delta scan may reach
+JET_CHECK_MAX = 12  # largest m whose repelling series the jet path cross-checks
 ETA_GRID = np.linspace(-6.0, 6.0, 25)  # frequencies of the Fourier check
 
 
@@ -386,14 +387,16 @@ def witness_repelling(
     d: float,
     lam: float,
     m_max: int,
-    jet_check_max: int = 12,
 ) -> GrowthSeries:
     """Closed-form series L_m = m^2 log alpha + m log(AB) - m d log(m log m),
     cross-checked against jet composition through the exact iterate.
 
     alpha = 1 (neutral point) runs but is classified inconclusive by policy.
     """
-    x0 = Fraction(x0)
+    try:
+        x0 = Fraction(x0)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("x0 must be a rational literal, got %r" % (x0,)) from None
     if psi(x0) != x0:
         raise DomainError("x0 is not a fixed point of psi")
     if d <= 1 or lam <= 0 or m_max < 3:
@@ -415,7 +418,7 @@ def witness_repelling(
         values.append((m, lm))
     # dual path: prescribed top-order jet pushed through the exact iterate
     jet_err = 0.0
-    m_hi = min(m_max, jet_check_max)
+    m_hi = min(m_max, JET_CHECK_MAX)
     for m in range(2, m_hi + 1):
         psi_m = iterate(psi, m)
         pjet = jet_of_polynomial(psi_m, x0, m)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gsdyn.cli import main
+
 
 def run_cli(*args, config=None):
     cmd = [sys.executable, "-m", "gsdyn.cli", *args]
@@ -25,11 +27,31 @@ def test_conjugate_json(tmp_path):
 def test_usage_error_exits_2():
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("conjugate", "--weight", "gevrey:2").returncode == 2  # missing --x
+    # malformed literals and out-of-range search values, in process
+    seminorm = ["seminorm", "--weight", "gevrey:2", "--model"]
+    for argv in (
+        seminorm + ["gauss:abc"],
+        seminorm + ["jet:abc:1=1"],
+        seminorm + ["jet:0:x=1"],
+        seminorm + ["jet:0:1=1/0"],
+        ["poly", "fixed-points", "--psi", "1,abc"],
+        ["poly", "fixed-points", "--psi", "1/0,1"],
+        ["witness", "repelling", "--x0", "abc"],
+        seminorm + ["gauss:1", "--radius", "-1"],
+        seminorm + ["gauss:1", "--radius", "0"],
+        seminorm + ["gauss:1", "--radius", "nan"],
+        seminorm + ["gauss:1", "--radius", "inf"],
+        seminorm + ["gauss:1", "--lam", "nan"],
+        seminorm + ["gauss:1", "--family", "expq", "--mu", "inf"],
+    ):
+        assert main(argv) == 2, argv
 
 
 def test_bad_weight_exits_2():
     r = run_cli("conjugate", "--weight", "nope:1", "--x", "1")
     assert r.returncode == 2
+    for weight in ("gevrey:abc", "root:x:gevrey:2"):
+        assert main(["conjugate", "--weight", weight, "--x", "1"]) == 2, weight
 
 
 def test_expect_mismatch_exits_1():

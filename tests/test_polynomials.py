@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,14 +59,13 @@ def test_iterate_additivity(coeffs, a, b):
 
 
 def test_derivatives_at_match_taylor():
+    # f^(n)(x0) = n! times the t^n coefficient of f(x0 + t)
     p = Polynomial.parse("1,2,3,4")
     x0 = Fraction(1, 3)
-    derivs = p.derivatives_at(x0, 3)
-    taylor = p.taylor_coefficients(x0, 3)
-    import math
-
-    for n in range(4):
-        assert derivs[n] == taylor[n] * math.factorial(n)
+    derivs = p.derivatives_at(x0, 5)
+    taylor = p.compose(Polynomial.of([x0, 1])).coeffs
+    for n in range(6):
+        assert derivs[n] == (taylor[n] * math.factorial(n) if n < len(taylor) else 0)
 
 
 def test_fixed_points_square_map():
