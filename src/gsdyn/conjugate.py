@@ -88,7 +88,7 @@ def _numeric_sup(w: Weight, x: float) -> float:
 
 def young_conjugate(w: Weight, x: float, method: str = "auto") -> float:
     """phi*_omega(x) = sup_{t >= 0} (x t - phi_omega(t))."""
-    if x < 0:
+    if not x >= 0:  # NaN fails this too
         raise DomainError("the Young conjugate is evaluated on x >= 0, got %r" % (x,))
     if method not in ("auto", "closed", "numeric"):
         raise DomainError("unknown conjugate method %r" % (method,))

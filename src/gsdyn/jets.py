@@ -141,6 +141,21 @@ def jet_of_polynomial(psi: Polynomial, x0, order: int) -> Jet:
     return Jet.from_exact(x0, psi.derivatives_at(x0, order))
 
 
+def fixed_point_jets(psi: Polynomial, x0, order: int) -> List[Jet]:
+    """Exact order-`order` jets of psi^1, ..., psi^order at a fixed point x0.
+
+    Since psi(x0) = x0, the jet of psi^(m+1) is psi's own jet composed with
+    that of psi^m (truncated power series composition), so the iterates of
+    degree deg(psi)^m are never formed.  A non-fixed x0 fails the centre check
+    of `compose_jet` (DomainError) once order >= 2.
+    """
+    base = jet_of_polynomial(psi, x0, order)
+    jets = [base]
+    for _ in range(order - 1):
+        jets.append(compose_jet(base, jets[-1], order))
+    return jets
+
+
 # --------------------------------------------------------------------------
 # composition
 # --------------------------------------------------------------------------
@@ -278,8 +293,8 @@ class Gaussian(FunctionModel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise DomainError("Gaussian scale must be > 0")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("Gaussian scale must be finite and > 0, got %r" % (self.scale,))
 
     def jet(self, x: float, order: int) -> Jet:
         _check_order(order)
@@ -302,8 +317,8 @@ class Scaled(FunctionModel):
     rho: float
 
     def __post_init__(self):
-        if self.rho == 0:
-            raise DomainError("Scaled model needs rho != 0")
+        if self.rho == 0 or not math.isfinite(self.rho):
+            raise DomainError("Scaled model needs a finite rho != 0, got %r" % (self.rho,))
 
     def _adjust(self, signs: np.ndarray, logs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         order = signs.shape[0] - 1
@@ -340,6 +355,10 @@ class Translated(FunctionModel):
 
     base: FunctionModel
     shift: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.shift):
+            raise DomainError("Translated model needs a finite shift, got %r" % (self.shift,))
 
     def jet(self, x: float, order: int) -> Jet:
         inner = self.base.jet(x + self.shift, order)

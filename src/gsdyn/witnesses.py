@@ -28,11 +28,10 @@ from .jets import (
     FunctionModel,
     Gaussian,
     Jet,
-    PrescribedJet,
     Scaled,
     Translated,
     compose_jet,
-    jet_of_polynomial,
+    fixed_point_jets,
 )
 from .polynomials import Polynomial, iterate
 from .seminorms import SearchSpec, SeminormSpec, attainment_matrix, eval_seminorm
@@ -44,7 +43,7 @@ NEG_INF = float("-inf")
 Q_T_HI = 1e5  # q_linear_bound certifies omega(t) <= Q t on [1, Q_T_HI]
 DEG2_SEARCH = SearchSpec(points=512, radius=6.0)  # the deg >= 2 numerators
 DELTA_SCAN_CAP = 100000  # largest j the dilation-delta scan may reach
-JET_CHECK_MAX = 12  # largest m whose repelling series the jet path cross-checks
+JET_CHECK_MAX = 12  # largest m the repelling and square jet paths cross-check
 ETA_GRID = np.linspace(-6.0, 6.0, 25)  # frequencies of the Fourier check
 
 
@@ -389,7 +388,9 @@ def witness_repelling(
     m_max: int,
 ) -> GrowthSeries:
     """Closed-form series L_m = m^2 log alpha + m log(AB) - m d log(m log m),
-    cross-checked against jet composition through the exact iterate.
+    cross-checked for m <= JET_CHECK_MAX against a prescribed top-order jet
+    composed with the exact jet of psi^m at x0 (`fixed_point_jets`).  That
+    entry is f^(m)(x0) psi'(x0)^(m^2), so its sign is checked exactly too.
 
     alpha = 1 (neutral point) runs but is classified inconclusive by policy.
     """
@@ -399,9 +400,10 @@ def witness_repelling(
         raise DomainError("x0 must be a rational literal, got %r" % (x0,)) from None
     if psi(x0) != x0:
         raise DomainError("x0 is not a fixed point of psi")
-    if d <= 1 or lam <= 0 or m_max < 3:
-        raise DomainError("repelling witness needs d > 1, lam > 0, m_max >= 3")
-    alpha = abs(psi.derivative()(x0))
+    if not (1 < d < math.inf and 0 < lam < math.inf) or m_max < 3:
+        raise DomainError("repelling witness needs finite d > 1, lam > 0 and m_max >= 3")
+    multiplier = psi.derivative()(x0)
+    alpha = abs(multiplier)
     if alpha < 1:
         raise DomainError("fixed point is attracting (|psi'(x0)| = %s)" % (alpha,))
     neutral = alpha == 1
@@ -416,18 +418,17 @@ def witness_repelling(
             - m * d * math.log(m * math.log(m))
         )
         values.append((m, lm))
-    # dual path: prescribed top-order jet pushed through the exact iterate
+    # dual path: prescribed top-order jet pushed through the exact jet of psi^m
     jet_err = 0.0
     m_hi = min(m_max, JET_CHECK_MAX)
+    psi_jets = fixed_point_jets(psi, x0, m_hi)
     for m in range(2, m_hi + 1):
-        psi_m = iterate(psi, m)
-        pjet = jet_of_polynomial(psi_m, x0, m)
         entry_log = m * log_b + m * d * math.log(m / math.log(m))
         entries = [(0, NEG_INF)] * m + [(1, entry_log)]
         fjet = Jet.from_slogs(float(x0), entries)
-        comp = compose_jet(fjet, pjet, m)
+        comp = compose_jet(fjet, psi_jets[m - 1], m)
         s, l = comp.entry(m)
-        if s != 1:
+        if s != (-1 if multiplier < 0 and m % 2 else 1):  # the sign of psi'(x0)^(m^2)
             raise VerificationError("jet path lost the sign at m = %d" % m)
         jet_lm = l - lam * young_conjugate(sigma, m / lam)
         closed = values[m - 2][1]
@@ -464,22 +465,21 @@ def falling_factorial_2m(m: int, j: int) -> int:
 def witness_square(s: float, lam: float, m_max: int) -> GrowthSeries:
     """Lower-bound series log [2^(m^2/2) (lam e/(2sm))^(2sm)] for psi = x^2.
 
-    The falling-factorial derivative comes out of an exact jet composition
-    for small m; the chain 2^m...(2^m-m+1) >= (2^m-m+1)^m >= 2^(m^2/2) is
-    verified with big integers; the divergence scan 2^(m/2)/m^(2s) is
-    reported with its first crossing above 1.
+    The falling-factorial derivatives (x^(2^m))^(j)(1), j <= m, come out of
+    exact jet composition at the fixed point 1 for m <= JET_CHECK_MAX; the
+    chain 2^m...(2^m-m+1) >= (2^m-m+1)^m >= 2^(m^2/2) is verified with big
+    integers; the divergence scan 2^(m/2)/m^(2s) is reported with its first
+    crossing above 1.
     """
-    if s <= 1 or lam <= 0 or m_max < 6:
-        raise DomainError("square witness needs s > 1, lam > 0, m_max >= 6")
-    x2 = Polynomial.of([0, 0, 1])
-    f = PrescribedJet.of(1.0, {1: 1})
-    jet_exact = True
-    for m in range(2, min(m_max, 10) + 1):
-        psi_m = iterate(x2, m)
-        comp = compose_jet(f.jet(1.0, m), jet_of_polynomial(psi_m, 1, m), m)
-        for j in range(1, m + 1):
-            if comp.exact[j] != falling_factorial_2m(m, j):
-                jet_exact = False
+    if not (1 < s < math.inf and 0 < lam < math.inf) or m_max < 6:
+        raise DomainError("square witness needs finite s > 1, lam > 0 and m_max >= 6")
+    m_hi = min(m_max, JET_CHECK_MAX)
+    x2_jets = fixed_point_jets(Polynomial.of([0, 0, 1]), 1, m_hi)
+    jet_exact = all(
+        x2_jets[m - 1].exact[j] == falling_factorial_2m(m, j)
+        for m in range(2, m_hi + 1)
+        for j in range(1, m + 1)
+    )
     chain_ok = True
     for m in range(2, 201):
         ff = falling_factorial_2m(m, m)
@@ -608,8 +608,8 @@ def witness_dilation_delta(w: Weight, a: float, delta: float, lam: float, m: int
     degenerates to the j = 0 term."""
     if a == 0:
         raise DomainError("dilation-delta needs a != 0")
-    if delta <= 0 or lam <= 0 or m < 1:
-        raise DomainError("dilation-delta needs delta, lam > 0 and m >= 1")
+    if not (0 < delta < math.inf and 0 < lam < math.inf) or m < 1:
+        raise DomainError("dilation-delta needs finite delta, lam > 0 and m >= 1")
     a_eff = abs(a) if abs(a) >= 1 else 1.0 / abs(a)
     log_a = math.log(a_eff)
     best, j_star = NEG_INF, 0

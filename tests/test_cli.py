@@ -43,6 +43,16 @@ def test_usage_error_exits_2():
         seminorm + ["gauss:1", "--radius", "inf"],
         seminorm + ["gauss:1", "--lam", "nan"],
         seminorm + ["gauss:1", "--family", "expq", "--mu", "inf"],
+        seminorm + ["gauss:inf"],
+        seminorm + ["scaled:nan:gauss:1"],
+        seminorm + ["shift:inf:gauss:1"],
+        ["witness", "repelling", "--psi", "0,0,1", "--x0", "1", "--lam", "nan", "--m-max", "8"],
+        ["witness", "repelling", "--d", "nan"],
+        ["witness", "square", "--lam", "nan"],
+        ["witness", "square", "--s", "nan"],
+        ["witness", "delta", "--lam", "nan"],
+        ["witness", "delta", "--delta", "nan"],
+        ["conjugate", "--weight", "gevrey:2", "--x", "nan"],
     ):
         assert main(argv) == 2, argv
 
@@ -140,7 +150,7 @@ def test_lambda_aliases_lam():
     assert json.loads(a.stdout)["config"]["lam"] == 2.0
 
 
-def test_negative_rational_values():
+def test_negative_rational_values(capsys):
     spaced = run_cli("poly", "fixed-points", "--psi", "-2,0,1", "--format", "json")
     joined = run_cli("poly", "fixed-points", "--psi=-2,0,1", "--format", "json")
     assert spaced.returncode == 0, spaced.stderr
@@ -151,6 +161,10 @@ def test_negative_rational_values():
     )
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["verdict"] == "supergeometric"
+    # a negative multiplier, psi'(-1) = -2, in process
+    argv = ["--format", "json", "witness", "repelling", "--psi=-2,0,1", "--x0=-1", "--m-max", "8"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "supergeometric"
 
 
 def test_readme_cli_examples_run():

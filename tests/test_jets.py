@@ -17,11 +17,12 @@ from gsdyn.jets import (
     compose_jet,
     compose_jet_partitions,
     faa_di_bruno_identity_sum,
+    fixed_point_jets,
     jet_of_polynomial,
     multiplicity_partitions,
     parse_model,
 )
-from gsdyn.polynomials import Polynomial
+from gsdyn.polynomials import Polynomial, iterate
 
 
 def euler_partition_counts(n: int):
@@ -110,6 +111,30 @@ def test_compose_associativity(cf, cg, ch, order):
     left = compose_jet(compose_jet(fj, gj, order), hj, order)
     right = compose_jet(fj, compose_jet(gj, hj, order), order)
     assert left.exact == right.exact
+
+
+@given(
+    st.sampled_from([-3, -2, Fraction(-3, 2), 1, Fraction(3, 2), 2, 3]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(lambda c: c != 0),
+)
+@settings(max_examples=25, deadline=None)
+def test_fixed_point_jets_match_iterates(alpha, x0, c):
+    # psi(x) = x0 + alpha (x - x0) + c (x - x0)^2 fixes x0 with multiplier alpha
+    psi = Polynomial.of([x0 - alpha * x0 + c * x0 * x0, alpha - 2 * c * x0, c])
+    jets = fixed_point_jets(psi, x0, 6)
+    assert len(jets) == 6 and jets[0].exact[1] == alpha
+    for m in range(1, 7):
+        assert jets[m - 1].exact == jet_of_polynomial(iterate(psi, m), x0, 6).exact
+
+
+def test_fixed_point_jets_cubic_and_non_fixed_point():
+    cube = Polynomial.parse("0,0,0,1")
+    jets = fixed_point_jets(cube, 1, 5)
+    for m in range(1, 6):
+        assert jets[m - 1].exact == jet_of_polynomial(iterate(cube, m), 1, 5).exact
+    with pytest.raises(DomainError, match="not centered"):
+        fixed_point_jets(Polynomial.parse("0,0,1"), 2, 3)  # x^2 maps 2 to 4
 
 
 def test_gaussian_jet_closed_forms():

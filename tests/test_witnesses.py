@@ -113,6 +113,32 @@ def test_repelling_neutral_is_inconclusive():
     assert s.classification == "inconclusive"
 
 
+def test_repelling_negative_multiplier_keeps_the_sign():
+    # psi'(-1) = -2: the order-m jet entry carries the sign of (-2)^(m^2)
+    s = witness_repelling(Polynomial.parse("-2,0,1"), -1, 2.0, 1.0, 9)
+    assert s.classification == "supergeometric"
+    assert s.details["jet_rel_err"] <= 1e-9
+
+
+def test_repelling_cubic_past_the_iterate_degree_cap():
+    # psi^12 would have degree 3^12, far past polynomials.DEGREE_CAP
+    s = witness_repelling(Polynomial.parse("0,0,0,1"), 1, 2.0, 1.0, 12)
+    assert s.classification == "supergeometric"
+    assert s.details["jet_check_max"] == 12
+    assert s.details["jet_rel_err"] <= 1e-9
+
+
+def test_jet_paths_never_build_iterates(monkeypatch):
+    import gsdyn.witnesses as W
+
+    def forbidden(*args):
+        raise AssertionError("iterate called")
+
+    monkeypatch.setattr(W, "iterate", forbidden)
+    assert witness_repelling(X2, 1, 2.0, 1.0, 12).details["jet_check_max"] == 12
+    assert witness_square(2.0, 1.0, 12).details["jet_falling_factorials_exact"]
+
+
 def test_repelling_rejects_bad_points():
     with pytest.raises(DomainError):
         witness_repelling(X2, 2, 2.0, 1.0, 12)  # not fixed
