@@ -466,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjugate", parents=[common], help="Young conjugate values")
     p.add_argument("--weight", required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--method", choices=("auto", "closed", "numeric"), default="auto")
+    p.add_argument("--method", choices=("closed", "numeric"), default="closed")
     p.add_argument("--check", action="store_true", help="cross-check closed vs numeric")
     p.set_defaults(func=_cmd_conjugate)
 

@@ -1,24 +1,25 @@
 """Young conjugates of phi(t) = omega(e^t) and the parameter-shift constants.
 
-For Gevrey-reducible weights the conjugate is exact and piecewise:
-phi(t) = e^(t/d) conjugates to x d log(x d / e) on x >= 1/d and to -1 below
-(the supremum sits at t = 0 there).  Everything else goes through a
-golden-section maximisation of the concave map t -> x t - phi(t).
+Every family's conjugate is exact: a Gevrey-reducible phi(t) = e^(t/d) gives
+x d log(x d / e) on x >= 1/d and -1 below (the sup sits at t = 0 there), a
+log-power phi(t) = t^p gives (p - 1) (x / p)^(p / (p - 1)), and a root
+phi(t) = phi_base(t / a) gives phi_base*(a x).  The oracle (method="numeric")
+is a fixed-step golden-section maximisation of t -> x t - phi(t).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import BoundaryHitError, DomainError, VerificationError
+import numpy as np
+
+from .errors import BoundaryHitError, DomainError, ResourceLimitError, VerificationError
 from .weights import Gevrey, LogPower, RootComposed, Weight, gevrey_index
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-TOL = 1e-12  # width of the final bracket of the numeric conjugate
+NUMERIC_STEPS = 60  # golden steps of the numeric conjugate: final bracket ~3e-13 x its right end
 T_MAX = 100.0  # first right end of that bracket, doubled while the sup lies beyond
 N_CHECK = 200  # the shift constants are fitted and re-verified on n = 0..N_CHECK
 
@@ -36,40 +37,44 @@ def phi(w: Weight, t: float) -> float:
     return w(math.exp(t))
 
 
-def _closed_form(d: float, x: float) -> float:
-    xd = x * d
-    if xd <= 1.0:
-        return -1.0
-    return xd * math.log(xd / math.e)
+def _closed_form(w: Weight, x: float) -> float:
+    d = gevrey_index(w)
+    if d is not None:
+        xd = x * d
+        if xd <= 1.0:
+            return -1.0
+        return xd * math.log(xd / math.e)
+    if isinstance(w, LogPower):
+        try:
+            return (w.p - 1.0) * (x / w.p) ** (w.p / (w.p - 1.0))
+        except OverflowError:
+            raise ResourceLimitError("conjugate of %s at x=%g overflows" % (w.spec(), x)) from None
+    if isinstance(w, RootComposed):
+        return _closed_form(w.base, w.a * x)
+    raise DomainError("no closed-form conjugate for weight %s" % w.spec())
 
 
-def _golden_max(
-    f, a: float, b: float, steps: Optional[int] = None, width: float = -math.inf
-) -> float:
-    """Golden-section search for the max of a unimodal f on [a, b].
-
-    Stops after `steps` steps, or, when steps is None, once the bracket is no
-    wider than `width`; returns the midpoint of the final bracket.
-    """
+def _golden_max(f, a, b, steps: int):
+    """`steps` golden-section steps for the max of a unimodal f on [a, b]; returns
+    the final midpoint.  a, b may be arrays of brackets searched in lockstep (f
+    maps one probe per lane to its value), each lane as if searched alone."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(steps) if steps is not None else itertools.count():
-        if b - a <= width:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    for _ in range(steps):
+        left = fc >= fd  # keep [a, d]; else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fp = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     return 0.5 * (a + b)
 
 
 def _numeric_sup(w: Weight, x: float) -> float:
-    def f(t: float) -> float:
+    def f(t) -> float:
+        t = float(t)  # the golden loop probes with 0-d arrays
         try:
             return x * t - phi(w, t)
         except OverflowError:
@@ -83,21 +88,18 @@ def _numeric_sup(w: Weight, x: float) -> float:
         expansions += 1
         if expansions > 200:
             raise BoundaryHitError("conjugate maximiser escaped past t=%g" % hi)
-    return max(f(_golden_max(f, 0.0, hi, width=TOL)), f(0.0))
+    return max(f(_golden_max(f, 0.0, hi, NUMERIC_STEPS)), f(0.0))
 
 
-def young_conjugate(w: Weight, x: float, method: str = "auto") -> float:
-    """phi*_omega(x) = sup_{t >= 0} (x t - phi_omega(t))."""
+def young_conjugate(w: Weight, x: float, method: str = "closed") -> float:
+    """phi*_omega(x) = sup_{t >= 0} (x t - phi_omega(t)); "numeric" is the oracle."""
     if not x >= 0:  # NaN fails this too
         raise DomainError("the Young conjugate is evaluated on x >= 0, got %r" % (x,))
-    if method not in ("auto", "closed", "numeric"):
-        raise DomainError("unknown conjugate method %r" % (method,))
-    d = gevrey_index(w)
-    if method == "closed" or (method == "auto" and d is not None):
-        if d is None:
-            raise DomainError("no closed-form conjugate for weight %s" % w.spec())
-        return _closed_form(d, x)
-    return _numeric_sup(w, x)
+    if method == "closed":
+        return _closed_form(w, x)
+    if method == "numeric":
+        return _numeric_sup(w, x)
+    raise DomainError("unknown conjugate method %r" % (method,))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ The supremum over derivative/monomial orders (j, q) is cut off at j+q <= M.
 M doubles from M_INIT while the ring of cells next to the cut (j+q >= M-2)
 comes within a factor EPS_TAIL of the best cell; this ring check is a
 heuristic, not a tail bound.  The spatial supremum runs over a log-symmetric
-grid with golden-section refinement around the incumbents, so it is a lower
-bound.  Everything is carried as log-values, and the report states exactly
-what finite evidence backs the number.
+grid, then golden-section refinement of the incumbents in lockstep on the same
+grid_jets/spatial_log_rows evaluation, so it is a lower bound.  Everything is
+carried as log-values, and the report states exactly what finite evidence
+backs the number.
 """
 
 from __future__ import annotations
@@ -74,18 +75,6 @@ class SeminormSpec:
             (j + q) * math.log(self.mu)
             - self.s * (math.lgamma(j + 1) + math.lgamma(q + 1))
         )
-
-    def spatial_log(self, x: float, q: int) -> float:
-        """log of the spatial factor at one point: one entry of spatial_log_rows."""
-        if self.family == "expq":
-            return self.mu * self.weight(abs(x))
-        if self.family == "globalp":
-            return q * math.log1p(abs(x))
-        if q == 0:
-            return 0.0
-        if x == 0.0:
-            return NEG_INF
-        return q * math.log(abs(x))
 
     def spatial_log_rows(self, xs: np.ndarray, m_max: int) -> np.ndarray:
         """rows[q] = log of the spatial factor at power q (expq: single row)."""
@@ -249,21 +238,30 @@ def _grid_cells(model: FunctionModel, spec: SeminormSpec, xs: np.ndarray, m: int
     return cells
 
 
-def _refine_cell(model: FunctionModel, spec: SeminormSpec, cell: _Cell, xs: np.ndarray) -> _Cell:
-    if cell.log_value == NEG_INF:
-        return cell
+def _refine_cells(
+    model: FunctionModel, spec: SeminormSpec, cells: List[_Cell], xs: np.ndarray
+) -> List[_Cell]:
+    """Golden-section refinement of all cells in lockstep, each between the grid
+    neighbours of its best point: every probe round is one grid_jets and one
+    spatial_log_rows call, one probe per cell.  A vanishing cell stays as is."""
+    js, qs = np.array([c.j for c in cells]), np.array([c.q for c in cells])  # expq: q = 0
+    j_max, q_max, lanes = int(js.max()), int(qs.max()), np.arange(len(cells))
 
-    def g(x: float) -> float:
-        s, l = model.jet(x, cell.j).entry(cell.j)
-        return NEG_INF if s == 0 else l + spec.spatial_log(x, cell.q)
+    def g(probes: np.ndarray) -> np.ndarray:
+        signs, logs = model.grid_jets(probes, j_max)
+        spatial = spec.spatial_log_rows(probes, q_max)
+        return np.where(signs[js, lanes] != 0, logs[js, lanes], NEG_INF) + spatial[qs, lanes]
 
-    i = cell.x_index
-    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
-    x_star = _golden_max(g, a, b, REFINE_STEPS)
-    refined = g(x_star) + spec.index_log_factor(cell.j, cell.q)
-    if refined > cell.log_value:
-        return _Cell(cell.j, cell.q, refined, x_star, cell.x_index)
-    return cell
+    idx = np.array([c.x_index for c in cells])
+    x_star = _golden_max(
+        g, xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, len(xs) - 1)], REFINE_STEPS
+    )
+    out = []
+    for c, x, v in zip(cells, x_star.tolist(), g(x_star).tolist()):
+        v += spec.index_log_factor(c.j, c.q)
+        better = c.log_value != NEG_INF and v > c.log_value
+        out.append(_Cell(c.j, c.q, v, x, c.x_index) if better else c)
+    return out
 
 
 def _cell_order(c: _Cell) -> Tuple[float, int, int]:
@@ -337,7 +335,7 @@ def eval_seminorm(
             continue
         break
     if search.refine:
-        top = [_refine_cell(model, spec, c, xs) for c in cells[:REFINE_TOP]]
+        top = _refine_cells(model, spec, cells[:REFINE_TOP], xs)
         cells = sorted(top, key=_cell_order) + cells[REFINE_TOP:]
     return _report(
         cells,
@@ -364,8 +362,9 @@ def attainment_matrix(
     r = search.radius if search.radius is not None else default_radius(model, m)
     xs = _grid(r, search.points)
     out = np.full((m + 1, m + 1), NEG_INF)
-    for c in _grid_cells(model, spec, xs, m):
-        if search.refine:
-            c = _refine_cell(model, spec, c, xs)
+    cells = _grid_cells(model, spec, xs, m)
+    if search.refine:
+        cells = _refine_cells(model, spec, cells, xs)
+    for c in cells:
         out[c.j, c.q] = c.log_value
     return out

@@ -45,6 +45,7 @@ DEG2_SEARCH = SearchSpec(points=512, radius=6.0)  # the deg >= 2 numerators
 DELTA_SCAN_CAP = 100000  # largest j the dilation-delta scan may reach
 JET_CHECK_MAX = 12  # largest m the repelling and square jet paths cross-check
 ETA_GRID = np.linspace(-6.0, 6.0, 25)  # frequencies of the Fourier check
+LOG_SCALE_CAP = 700.0  # largest |log| of the dilation factor |a|^m (double range)
 
 
 # --------------------------------------------------------------------------
@@ -316,8 +317,8 @@ def witness_dilation_blowup(
     short-circuits to a constant series after checking seminorm invariance
     under the reflection.
     """
-    if a == 0:
-        raise DomainError("dilation witness needs a != 0")
+    if a == 0 or not math.isfinite(a):
+        raise DomainError("dilation witness needs a finite a != 0")
     if k > h:
         raise DomainError("dilation witness needs k <= h")
     spec_k = SeminormSpec("plainp", w, lam=k)
@@ -333,6 +334,11 @@ def witness_dilation_blowup(
         values = [(ell, 0.0) for ell in range(1, ell_max + 1)]
         series = classify_growth(values, details={"a": a, "invariance_gap": v_ref - v_id})
         return series
+    log_scale = m * math.log(abs(a))
+    if abs(log_scale) > LOG_SCALE_CAP:
+        raise ResourceLimitError(
+            "dilation factor |a|^m = e^%g is outside e^(+-%g)" % (log_scale, LOG_SCALE_CAP)
+        )
     f = Gaussian(1.0)
     scale = a ** m
     values = []

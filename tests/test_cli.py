@@ -57,6 +57,19 @@ def test_usage_error_exits_2():
         assert main(argv) == 2, argv
 
 
+def test_dilation_past_double_range_exits_3(capsys, monkeypatch):
+    # |a|^m = 2^2000 overflows a double: a typed limit before any rho-construction
+    import gsdyn.witnesses as witnesses
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rho_construction ran")
+
+    monkeypatch.setattr(witnesses, "rho_construction", fail)
+    for a in ("2", "0.5"):
+        assert main(["witness", "dilation", "--a", a, "--m", "2000"]) == 3
+        assert "dilation factor" in capsys.readouterr().err
+
+
 def test_bad_weight_exits_2():
     r = run_cli("conjugate", "--weight", "nope:1", "--x", "1")
     assert r.returncode == 2

@@ -1,13 +1,17 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsdyn.cli import main
 from gsdyn.conjugate import _golden_max, lambda_shift_constants, young_conjugate
 from gsdyn.errors import DomainError
 from gsdyn.seminorms import truncation_order
-from gsdyn.weights import Gevrey, LogPower
+from gsdyn.weights import Gevrey, LogPower, RootComposed
 
 
 def test_gevrey_closed_form_value():
@@ -33,9 +37,9 @@ def test_closed_vs_numeric_agreement():
 
 
 def test_numeric_path_logpower():
-    # no closed form: just monotone, convex-ish, finite
+    # the oracle on its own: monotone and finite
     w = LogPower(2.0)
-    vals = [young_conjugate(w, x) for x in (0.5, 1.0, 2.0, 4.0)]
+    vals = [young_conjugate(w, x, method="numeric") for x in (0.5, 1.0, 2.0, 4.0)]
     assert all(math.isfinite(v) for v in vals)
     assert vals == sorted(vals)
 
@@ -102,19 +106,55 @@ def test_golden_max_step_rule():
     x = _golden_max(f, 0.0, 1.0, steps=10)
     assert len(calls) == 12  # two interior probes, then one per step
     assert abs(x - 0.3) <= 0.5 * ((math.sqrt(5.0) - 1.0) / 2.0) ** 10
+    # an array of brackets gives, lane by lane, the floats of each bracket run alone
+    peaks = np.array([0.3, -2.0, 7.5, 1e-3, 40.0])
+    lo = np.array([0.0, -5.0, 7.0, 0.0, 1.0])
+    hi = np.array([1.0, 3.0, 9.5, 1e-2, 100.0])
+
+    def all_lanes(x):
+        return -np.abs(x - peaks) ** 1.5
+
+    together = _golden_max(all_lanes, lo, hi, 90)
+    for k in range(len(peaks)):
+        alone = _golden_max(lambda x: -abs(x - peaks[k]) ** 1.5, lo[k], hi[k], 90)
+        assert float(alone) == float(together[k]), k
 
 
-def test_golden_max_width_rule():
-    # a kinked maximum at c: the final bracket (width <= 1e-12) still holds c
-    c = math.log(2.0)
-    calls = []
+_X = st.floats(min_value=0.0, max_value=200.0)
+_LOGPOWER = st.builds(LogPower, st.floats(min_value=1.1, max_value=4.0))
+_ROOTED = st.builds(
+    RootComposed,
+    st.one_of(st.builds(Gevrey, st.floats(min_value=1.1, max_value=4.0)), _LOGPOWER),
+    st.floats(min_value=1.0, max_value=3.0),
+)
 
-    def f(x):
-        calls.append(x)
-        return -abs(x - c)
 
-    x = _golden_max(f, 0.0, 5.0, width=1e-12)
-    assert abs(x - c) <= 0.5e-12
-    # steps: the smallest n with 5 g^n <= 1e-12
-    steps = math.ceil(math.log(5.0 / 1e-12) / math.log(2.0 / (math.sqrt(5.0) - 1.0)))
-    assert len(calls) == 2 + steps
+@given(st.one_of(_LOGPOWER, _ROOTED), _X)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_numeric_every_family(w, x):
+    c = young_conjugate(w, x, method="closed")
+    n = young_conjugate(w, x, method="numeric")
+    assert abs(c - n) <= 1e-9 * max(1.0, abs(c)), (w, x, c, n)
+
+
+def test_logpower_conjugate_past_t_8192_returns():
+    # the maximiser t* = (150 / 1.5)^2 = 10^4 lies where doubles are spaced
+    # wider than 1e-12; both methods must still return
+    code = (
+        "from gsdyn.conjugate import young_conjugate\n"
+        "from gsdyn.weights import LogPower\n"
+        "print(young_conjugate(LogPower(1.5), 150.0, 'closed'))\n"
+        "print(young_conjugate(LogPower(1.5), 150.0, 'numeric'))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    closed, numeric = map(float, r.stdout.split())
+    assert closed == 0.5 * (150.0 / 1.5) ** 3  # (p - 1)(x/p)^(p/(p-1))
+    assert numeric == pytest.approx(closed, rel=1e-12)
+
+
+def test_cli_check_runs_on_logpower():
+    assert main(["conjugate", "--weight", "logpower:2", "--x", "3", "--check"]) == 0
+    assert main(["conjugate", "--weight", "logpower:2", "--x", "3", "--method", "auto"]) == 2
+    # p near 1 puts phi*(200) past double range: a typed limit, not an OverflowError
+    assert main(["conjugate", "--weight", "logpower:1.0001", "--x", "200"]) == 3

@@ -12,6 +12,7 @@ from gsdyn.seminorms import (
     SearchSpec,
     SeminormSpec,
     attainment_matrix,
+    default_radius,
     eval_seminorm,
     truncation_order,
 )
@@ -153,23 +154,24 @@ def test_value_matches_matrix_max(scale):
     assert rep.log_value == pytest.approx(best, rel=1e-9)
 
 
-def test_spatial_log_matches_rows():
-    from gsdyn.weights import LogPower
+@pytest.mark.parametrize(
+    "model",
+    [Gaussian(1.0), Scaled(Gaussian(1.0), -2.0), Translated(Gaussian(1.0), 1.5)],
+    ids=["gauss", "scaled", "shifted"],
+)
+@pytest.mark.parametrize(
+    "spec",
+    [SeminormSpec("plainp", G2), SeminormSpec("globalp", G2), SeminormSpec("expq", G2, mu=0.5)],
+    ids=["plainp", "globalp", "expq"],
+)
+def test_refine_cells_lockstep_equals_one_by_one(model, spec):
+    # refining the top cells together gives exactly what each gives refined alone
+    from gsdyn.seminorms import REFINE_TOP, _cell_order, _grid, _grid_cells, _refine_cells
 
-    specs = [
-        SeminormSpec("plainp", G2),
-        SeminormSpec("globalp", G2),
-        SeminormSpec("expq", LogPower(2.0), mu=1.5),
-        SeminormSpec("gevreyseq", s=2.0),
-    ]
-    xs = np.array([0.0, 1e-7, -1e-7, 0.5, -3.0, 40.0])
-    for spec in specs:
-        rows = spec.spatial_log_rows(xs, 5)
-        for q in range(6):
-            row = rows[q if spec.uses_q else 0]
-            for x, want in zip(xs, row):
-                got = spec.spatial_log(float(x), q)
-                # np.log and math.log may differ in the last bit
-                assert (got == -math.inf) == (want == -math.inf), (spec.family, x, q)
-                if want != -math.inf:
-                    assert got == pytest.approx(want, rel=1e-15), (spec.family, x, q)
+    xs = _grid(default_radius(model, 16), 2048)
+    top = sorted(_grid_cells(model, spec, xs, 16), key=_cell_order)[:REFINE_TOP]
+    together = _refine_cells(model, spec, top, xs)
+    alone = [_refine_cells(model, spec, [c], xs)[0] for c in top]
+    assert together == alone
+    assert all(r.log_value >= c.log_value for r, c in zip(together, top))
+    assert any(r.x != c.x for r, c in zip(together, top))  # the refinement moved
