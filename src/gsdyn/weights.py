@@ -7,12 +7,12 @@ to the constants found by the sweep.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
-from scipy import integrate
+import numpy as np
 
 from .errors import ConfigurationError, DomainError, GsdynError
 
@@ -149,6 +149,7 @@ GRID_T_MAX = 1e100  # the certification grid is log-spaced on [1e-6, GRID_T_MAX]
 GRID_POINTS = 400
 SAFETY = 1.05  # factor applied to the constants a sweep finds
 LOGCOND_GAMMA = 2.0
+QUAD_NODES = 24  # Gauss-Legendre nodes per panel of the beta and epsilon integrals
 _GRID = "log grid, %d points on (0, %g], safety %.3g" % (GRID_POINTS, GRID_T_MAX, SAFETY)
 
 
@@ -202,13 +203,34 @@ def _tail_exponent(w: Weight, t_hi: float) -> float:
     return (math.log(hi) - math.log(lo)) / math.log(100.0)
 
 
+@functools.cache
+def _legendre_rule():
+    # nodes and weights on [-1, 1], built on first use (numpy.polynomial loads then)
+    return np.polynomial.legendre.leggauss(QUAD_NODES)
+
+
+def _gauss_legendre(
+    f: Callable[[float], float], lo: float, hi: float, width: float, kink: float
+) -> float:
+    """Composite Gauss-Legendre rule for a scalar f on [lo, hi].
+
+    The interval is cut into equal panels no wider than `width`, with
+    QUAD_NODES nodes each.  The panels also shrink by factors of 8 toward
+    `kink`, where f may fail to be smooth (such as (log t)^p at t = 1), on
+    both sides and whether it lies inside [lo, hi] or just outside: that
+    keeps the rule exponentially accurate next to an algebraic singularity."""
+    x, wt = _legendre_rule()
+    edges = set(np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1).tolist())
+    edges.add(kink)
+    edges.update(kink + side * width * 8.0 ** -k for k in range(1, 9) for side in (-1, 1))
+    edges = np.array(sorted(e for e in edges if lo <= e <= hi))
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * x
+    vals = np.array([f(u) for u in nodes.ravel().tolist()])
+    return float((half[:, None] * wt).ravel() @ vals)
+
+
 def _check_beta(w: Weight) -> ConditionReport:
-    t_quad = min(GRID_T_MAX, 1e8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        integral, _ = integrate.quad(
-            lambda t: w(t) / (1.0 + t * t), 0.0, t_quad, limit=400
-        )
     beta_hat = _tail_exponent(w, GRID_T_MAX)
     if beta_hat >= 0.99:
         return ConditionReport(
@@ -218,13 +240,25 @@ def _check_beta(w: Weight) -> ConditionReport:
             None,
             _GRID,
         )
-    # omega(t) <= omega(T)(t/T)^beta for t >= T (log-log slope non-increasing
-    # for the in-scope families), hence the tail integral is bounded by:
-    tail = w(t_quad) / (t_quad * (1.0 - beta_hat))
+    # u = log t turns omega(t)/(1+t^2) dt into omega(e^u)/(2 cosh u) du,
+    # exponentially small at both ends; the log-power kink t = 1 is u = 0
+    t_lo, t_hi = 1e-16, GRID_T_MAX
+    integral = _gauss_legendre(
+        lambda u: w(math.exp(u)) / (2.0 * math.cosh(u)),
+        math.log(t_lo),
+        math.log(t_hi),
+        4.0,
+        0.0,
+    )
+    # omega is non-decreasing, so the integral over [0, t_lo] is at most
+    # t_lo omega(t_lo).  Past t_hi, omega(t) <= omega(t_hi)(t/t_hi)^beta_hat
+    # (log-log slope non-increasing for the in-scope families, and beta_hat is
+    # the secant slope on [t_hi/100, t_hi]), so the tail is at most:
+    tail = w(t_hi) / (t_hi * (1.0 - beta_hat))
     return ConditionReport(
         "beta",
         "holds",
-        {"integral": integral + tail, "tail_exponent": beta_hat},
+        {"integral": t_lo * w(t_lo) + integral + tail, "tail_exponent": beta_hat},
         None,
         _GRID,
     )
@@ -264,12 +298,25 @@ def _check_delta(w: Weight) -> ConditionReport:
 
 def _check_epsilon(w: Weight) -> ConditionReport:
     ys = _log_grid(1e-2, 1e6, 25)
+    s_hi = 80.0
     sup = 0.0
     y_at = ys[0]
     for y in ys:
-        # substitute u = 1/t: integral_1^inf omega(y t)/t^2 dt = integral_0^1 omega(y/u) du
-        val, _ = integrate.quad(lambda u: w(y / u), 0.0, 1.0, limit=400)
-        ratio = val / (1.0 + w(y))
+        # u = 1/t, then u = e^-s: integral_1^inf omega(y t)/t^2 dt
+        # = integral_0^1 omega(y/u) du = integral_0^inf omega(y e^s) e^-s ds,
+        # whose log-power kink y e^s = 1 sits at s = -log y
+        val = _gauss_legendre(
+            lambda s: w(y * math.exp(s)) * math.exp(-s), 0.0, s_hi, 40.0, -math.log(y)
+        )
+        # past s_hi, omega(y e^s) <= omega(x)e^(b(s - s_hi)) with x = y e^s_hi and
+        # b the secant slope on [x/100, x], as in the beta check (exact for Gevrey)
+        x = y * math.exp(s_hi)
+        b = _tail_exponent(w, x)
+        if b >= 0.99:
+            return ConditionReport(
+                "epsilon", "inconclusive", {"tail_exponent": b, "y": y}, None, _GRID
+            )
+        ratio = (val + w(x) * math.exp(-s_hi) / (1.0 - b)) / (1.0 + w(y))
         if ratio > sup:
             sup, y_at = ratio, y
     return ConditionReport(

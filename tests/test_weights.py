@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 from gsdyn.errors import ConfigurationError
 from gsdyn.weights import (
     CONDITIONS,
+    SAFETY,
     Gevrey,
     LogPower,
     RootComposed,
     check_all_conditions,
     check_condition,
+    _log_grid,
     gevrey_index,
     parse_weight,
     sigma_transform,
@@ -111,3 +114,63 @@ def test_unknown_condition_rejected():
     with pytest.raises(ConfigurationError):
         check_condition(Gevrey(2.0), "sigma")
     assert "alpha" in CONDITIONS
+
+
+def _gevrey_beta(d):
+    # integral_0^inf t^(1/d)/(1+t^2) dt
+    return math.pi / (2.0 * math.cos(math.pi / (2.0 * d)))
+
+
+def _logpower_beta(p):
+    # integral_1^inf (log t)^p/(1+t^2) dt = Gamma(p+1) beta(p+1), beta the Dirichlet beta
+    return float(mpmath.gamma(p + 1) * mpmath.dirichlet(p + 1, [0, 1, 0, -1]))
+
+
+@pytest.mark.parametrize(
+    "spec, exact",
+    [
+        ("gevrey:1.5", _gevrey_beta(1.5)),
+        ("gevrey:2", _gevrey_beta(2.0)),
+        ("gevrey:3", _gevrey_beta(3.0)),
+        ("root:2:gevrey:2", _gevrey_beta(4.0)),
+        ("logpower:1.5", _logpower_beta(1.5)),
+        ("logpower:2", _logpower_beta(2)),
+        ("logpower:3", _logpower_beta(3)),
+    ],
+)
+def test_beta_integral_is_an_upper_bound_on_the_exact_value(spec, exact):
+    rep = check_condition(parse_weight(spec), "beta")
+    assert rep.holds
+    assert exact * (1.0 - 1e-12) <= rep.constants["integral"] <= exact * (1.0 + 1e-4)
+
+
+def test_beta_oracles():
+    assert _gevrey_beta(2.0) == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-15)
+    assert _gevrey_beta(4.0) == pytest.approx(1.70022, abs=1e-5)
+    assert _logpower_beta(2) == pytest.approx(math.pi ** 3 / 16.0, rel=1e-15)  # 2 beta(3)
+
+
+@pytest.mark.parametrize("d", [1.1, 1.5, 2.0, 3.0])
+def test_epsilon_constant_gevrey_closed_form(d):
+    # integral_0^1 (y/u)^(1/d) du = y^(1/d) d/(d-1)
+    expected = SAFETY * max(
+        y ** (1.0 / d) * (d / (d - 1.0)) / (1.0 + y ** (1.0 / d))
+        for y in _log_grid(1e-2, 1e6, 25)
+    )
+    c = check_condition(Gevrey(d), "epsilon").constants["C"]
+    assert c == pytest.approx(expected, rel=1e-9)
+    if d == 2.0:
+        assert expected == pytest.approx(2.0979020979, rel=1e-10)
+
+
+@pytest.mark.parametrize("p, expected", [(2.0, 2.7250424244954385), (3.0, 9.273039265644718)])
+def test_epsilon_constant_logpower_pinned(p, expected):
+    c = check_condition(LogPower(p), "epsilon").constants["C"]
+    assert c == pytest.approx(expected, rel=1e-9)
+
+
+def test_epsilon_without_a_tail_bound_is_inconclusive():
+    # (log t)^100 still has log-log slope 100/80 > 1 at t = e^80, where the
+    # quadrature stops, so no power-law bound covers the rest
+    rep = check_condition(LogPower(100.0), "epsilon")
+    assert rep.verdict == "inconclusive" and rep.constants["tail_exponent"] >= 0.99
