@@ -150,6 +150,10 @@ GRID_POINTS = 400
 SAFETY = 1.05  # factor applied to the constants a sweep finds
 LOGCOND_GAMMA = 2.0
 QUAD_NODES = 24  # Gauss-Legendre nodes per panel of the beta and epsilon integrals
+# widest panels of the beta rule (in u = log t) and the epsilon rule (in
+# s = -log u); both rules also grade their panels toward the log-power kink
+BETA_PANEL = 32.0
+EPSILON_PANEL = 40.0
 _GRID = "log grid, %d points on (0, %g], safety %.3g" % (GRID_POINTS, GRID_T_MAX, SAFETY)
 
 
@@ -247,7 +251,7 @@ def _check_beta(w: Weight) -> ConditionReport:
         lambda u: w(math.exp(u)) / (2.0 * math.cosh(u)),
         math.log(t_lo),
         math.log(t_hi),
-        4.0,
+        BETA_PANEL,
         0.0,
     )
     # omega is non-decreasing, so the integral over [0, t_lo] is at most
@@ -306,13 +310,14 @@ def _check_epsilon(w: Weight) -> ConditionReport:
         # = integral_0^1 omega(y/u) du = integral_0^inf omega(y e^s) e^-s ds,
         # whose log-power kink y e^s = 1 sits at s = -log y
         val = _gauss_legendre(
-            lambda s: w(y * math.exp(s)) * math.exp(-s), 0.0, s_hi, 40.0, -math.log(y)
+            lambda s: w(y * math.exp(s)) * math.exp(-s), 0.0, s_hi, EPSILON_PANEL, -math.log(y)
         )
         # past s_hi, omega(y e^s) <= omega(x)e^(b(s - s_hi)) with x = y e^s_hi and
-        # b the secant slope on [x/100, x], as in the beta check (exact for Gevrey)
+        # b the secant slope on [x/100, x], as in the beta check (exact for
+        # Gevrey); its integral against e^-s is finite whenever b < 1
         x = y * math.exp(s_hi)
         b = _tail_exponent(w, x)
-        if b >= 0.99:
+        if b >= 1.0:
             return ConditionReport(
                 "epsilon", "inconclusive", {"tail_exponent": b, "y": y}, None, _GRID
             )

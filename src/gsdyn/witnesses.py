@@ -44,7 +44,7 @@ DEG2_SEARCH = SearchSpec(points=512, radius=6.0)  # the deg >= 2 numerators
 DELTA_SCAN_CAP = 100000  # largest j the dilation-delta scan may reach
 JET_CHECK_MAX = 12  # largest m the repelling and square jet paths cross-check
 ETA_GRID = np.linspace(-6.0, 6.0, 25)  # frequencies of the Fourier check
-FOURIER_POINTS = 201  # trapezoid nodes on [-10/scale, 10/scale]
+FOURIER_POINT_CAP = 100000  # most trapezoid nodes the Fourier check may use
 LOG_SCALE_CAP = 700.0  # largest |log| of the dilation factor |a|^m (double range)
 
 
@@ -659,9 +659,18 @@ def fourier_scaling_check(f: FunctionModel, b: float) -> FourierReport:
 
     def transform(scale: float, etas: np.ndarray) -> np.ndarray:
         # trapezoid rule on a uniform grid: exponentially accurate for a
-        # Gaussian times cos (Trefethen & Weideman 2014, SIAM Rev. 56)
+        # Gaussian times cos (Trefethen & Weideman 2014, SIAM Rev. 56).  In
+        # y = scale x its error is the transform e^(-k^2/4) at the alias
+        # k = 2 pi/(scale h) - |eta|/scale, so the step keeps k >= 12
         lim = 10.0 / scale
-        x, h = np.linspace(-lim, lim, FOURIER_POINTS, retstep=True)
+        k_max = float(np.max(np.abs(etas))) / scale + 12.0
+        points = math.ceil(2.0 * lim * scale * k_max / (2.0 * math.pi)) + 1
+        if points > FOURIER_POINT_CAP:
+            raise ResourceLimitError(
+                "the Fourier check needs %d trapezoid nodes (cap %d); raise scale*|b|"
+                % (points, FOURIER_POINT_CAP)
+            )
+        x, h = np.linspace(-lim, lim, points, retstep=True)
         vals = np.exp(-((scale * x) ** 2)) * np.cos(np.outer(etas, x))
         return np.trapezoid(vals, dx=h, axis=1)
 

@@ -150,7 +150,7 @@ def test_beta_oracles():
     assert _logpower_beta(2) == pytest.approx(math.pi ** 3 / 16.0, rel=1e-15)  # 2 beta(3)
 
 
-@pytest.mark.parametrize("d", [1.1, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1.005, 1.1, 1.5, 2.0, 3.0])
 def test_epsilon_constant_gevrey_closed_form(d):
     # integral_0^1 (y/u)^(1/d) du = y^(1/d) d/(d-1)
     expected = SAFETY * max(
@@ -173,4 +173,4 @@ def test_epsilon_without_a_tail_bound_is_inconclusive():
     # (log t)^100 still has log-log slope 100/80 > 1 at t = e^80, where the
     # quadrature stops, so no power-law bound covers the rest
     rep = check_condition(LogPower(100.0), "epsilon")
-    assert rep.verdict == "inconclusive" and rep.constants["tail_exponent"] >= 0.99
+    assert rep.verdict == "inconclusive" and rep.constants["tail_exponent"] >= 1.0

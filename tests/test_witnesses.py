@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gsdyn.errors import DomainError
+from gsdyn.errors import DomainError, ResourceLimitError
 from gsdyn.jets import Gaussian
 from gsdyn.polynomials import AffineMap, Polynomial, conjugate_by
 from gsdyn.seminorms import SearchSpec, SeminormSpec
@@ -164,11 +164,16 @@ def test_dilation_delta_unit_a():
 
 
 def test_fourier_scaling():
-    for b in (-1.0, 0.5, 1.0, 2.0, 3.0):
-        rep = fourier_scaling_check(Gaussian(1.0), b)
+    # scale*|b| = 0.1 puts eta/(scale*|b|) = 60 next to the alias of a
+    # fixed 201-point grid, so the grid has to follow the frequencies
+    cases = [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (1.0, 0.1), (0.1, 1.0)]
+    for scale, b in cases:
+        rep = fourier_scaling_check(Gaussian(scale), b)
         assert rep.max_error < 1e-12
     with pytest.raises(DomainError):
         fourier_scaling_check(Gaussian(1.0), 0.0)
+    with pytest.raises(ResourceLimitError):
+        fourier_scaling_check(Gaussian(1.0), 1e-5)
 
 
 def test_rho_construction_forces_gap():
