@@ -171,6 +171,8 @@ def _run_rho(model, weight, lam, m, direction) -> Tuple[dict, str]:
 
 
 def _run_fourier(scale, b, tol) -> Tuple[dict, str]:
+    if not 0 < tol < math.inf:  # NaN fails this too
+        raise DomainError("fourier tolerance must be finite and > 0, got %r" % (tol,))
     rep = fourier_scaling_check(Gaussian(scale), b)
     payload = {"b": rep.b, "max_error": rep.max_error, "eta_count": rep.eta_count}
     return payload, "pass" if rep.max_error < tol else "fail"

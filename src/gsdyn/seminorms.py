@@ -3,18 +3,19 @@
 The supremum over derivative/monomial orders (j, q) is cut off at j+q <= M.
 M doubles from M_INIT while the ring of cells next to the cut (j+q >= M-2)
 comes within a factor EPS_TAIL of the best cell; this ring check is a
-heuristic, not a tail bound.  The spatial supremum runs over a log-symmetric
-grid, then golden-section refinement of the incumbents in lockstep on the same
-grid_jets/spatial_log_rows evaluation, so it is a lower bound.  Everything is
-carried as log-values, and the report states exactly what finite evidence
-backs the number.
+heuristic, not a tail bound.  Every search fills one (m+1) x (m+1) table of
+cells (j, q): the best point of each on a log-symmetric grid, times its index
+factor.  Golden-section steps then refine the leading cells of that table in
+lockstep on the same grid_jets/spatial_log_rows evaluation, so the spatial
+supremum is a lower bound.  Everything is carried as log-values, and the
+report states exactly what finite evidence backs the number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,15 +67,17 @@ class SeminormSpec:
     def uses_q(self) -> bool:
         return self.family != "expq"
 
-    def index_log_factor(self, j: int, q: int) -> float:
-        if self.family in ("plainp", "globalp"):
-            return -self.lam * young_conjugate(self.weight, (j + q) / self.lam)
-        if self.family == "expq":
-            return -self.lam * young_conjugate(self.weight, j / self.lam)
-        return (
-            (j + q) * math.log(self.mu)
-            - self.s * (math.lgamma(j + 1) + math.lgamma(q + 1))
-        )
+    def log_factors(self, m: int) -> np.ndarray:
+        """table[j, q] = log of the index factor for j+q <= m (expq: q = 0 only),
+        -inf elsewhere; one Young conjugate per order n <= m."""
+        j, q = np.indices((m + 1, m + 1))
+        if self.family == "gevreyseq":
+            lg = np.array([math.lgamma(i + 1) for i in range(m + 1)])
+            table = (j + q) * math.log(self.mu) - self.s * (lg[:, None] + lg[None, :])
+        else:
+            conj = np.array([young_conjugate(self.weight, n / self.lam) for n in range(m + 1)])
+            table = -self.lam * conj[j if self.family == "expq" else np.minimum(j + q, m)]
+        return np.where(q == 0 if self.family == "expq" else j + q <= m, table, NEG_INF)
 
     def spatial_log_rows(self, xs: np.ndarray, m_max: int) -> np.ndarray:
         """rows[q] = log of the spatial factor at power q (expq: single row)."""
@@ -207,86 +210,72 @@ def _grid(radius: float, points: int) -> np.ndarray:
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-@dataclass
-class _Cell:
-    j: int
-    q: int
-    log_value: float
-    x: float
-    x_index: int
+# per cell (j, q): log value, argument x and grid index of its best point
+Cells = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _grid_cells(model: FunctionModel, spec: SeminormSpec, xs: np.ndarray, m: int) -> List[_Cell]:
-    """The best grid point of every cell j+q <= m (q = 0 only for expq).
+def _grid_cells(
+    model: FunctionModel, spec: SeminormSpec, xs: np.ndarray, factors: np.ndarray
+) -> Cells:
+    """The best grid point of every cell with a finite factor (the others -inf).
 
     A vanishing cell reports the middle of the grid: 0.0 on the symmetric
     search grid, the center for a prescribed jet's one-point grid.
     """
+    m = len(factors) - 1
     _, jlogs = model.grid_jets(xs, m)
     spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
-    middle = float(xs[len(xs) // 2])
-    cells: List[_Cell] = []
+    top = np.full(factors.shape, NEG_INF)
+    idx = np.zeros(factors.shape, dtype=np.intp)
     for j in range(m + 1):
-        for q in range(m - j + 1 if spec.uses_q else 1):
-            vals = jlogs[j] + spatial[q]
-            i = int(np.argmax(vals))
-            top = float(vals[i])
-            if top == NEG_INF:
-                cells.append(_Cell(j, q, NEG_INF, middle, i))
-            else:
-                cells.append(_Cell(j, q, top + spec.index_log_factor(j, q), float(xs[i]), i))
-    return cells
+        block = jlogs[j] + spatial[: m - j + 1]  # row q is the cell (j, q)
+        i = np.argmax(block, axis=1)
+        idx[j, : len(i)] = i
+        top[j, : len(i)] = block[np.arange(len(i)), i]
+    x = np.where(top == NEG_INF, xs[len(xs) // 2], xs[idx])
+    return top + factors, x, idx
+
+
+def _rank(vals: np.ndarray, js: np.ndarray, qs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells (js, qs) in descending value; ties to smallest j+q, then smallest j."""
+    order = np.lexsort((js, js + qs, -vals[js, qs]))
+    return js[order], qs[order]
 
 
 def _refine_cells(
-    model: FunctionModel, spec: SeminormSpec, cells: List[_Cell], xs: np.ndarray
-) -> List[_Cell]:
-    """Golden-section refinement of all cells in lockstep, each between the grid
-    neighbours of its best point: every probe round is one grid_jets and one
-    spatial_log_rows call, one probe per cell.  A vanishing cell stays as is."""
-    js, qs = np.array([c.j for c in cells]), np.array([c.q for c in cells])  # expq: q = 0
-    j_max, q_max, lanes = int(js.max()), int(qs.max()), np.arange(len(cells))
+    model: FunctionModel, spec: SeminormSpec, cells: Cells, factors: np.ndarray, xs, js, qs
+) -> None:
+    """Golden-section refinement of the cells (js, qs) in lockstep, each between
+    the grid neighbours of its best point: every probe round is one grid_jets and
+    one spatial_log_rows call, one probe per cell.  A cell takes its refined
+    point where that is better, in place; a vanishing cell stays as is."""
+    vals, x, idx = cells
+    j_max, q_max, lanes = int(js.max()), int(qs.max()), np.arange(len(js))  # expq: q = 0
 
     def g(probes: np.ndarray) -> np.ndarray:
         signs, logs = model.grid_jets(probes, j_max)
         spatial = spec.spatial_log_rows(probes, q_max)
         return np.where(signs[js, lanes] != 0, logs[js, lanes], NEG_INF) + spatial[qs, lanes]
 
-    idx = np.array([c.x_index for c in cells])
+    i = idx[js, qs]
     x_star = _golden_max(
-        g, xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, len(xs) - 1)], REFINE_STEPS
+        g, xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, len(xs) - 1)], REFINE_STEPS
     )
-    out = []
-    for c, x, v in zip(cells, x_star.tolist(), g(x_star).tolist()):
-        v += spec.index_log_factor(c.j, c.q)
-        better = c.log_value != NEG_INF and v > c.log_value
-        out.append(_Cell(c.j, c.q, v, x, c.x_index) if better else c)
-    return out
+    v = g(x_star) + factors[js, qs]
+    better = (vals[js, qs] != NEG_INF) & (v > vals[js, qs])
+    vals[js[better], qs[better]] = v[better]
+    x[js[better], qs[better]] = x_star[better]
 
 
-def _cell_order(c: _Cell) -> Tuple[float, int, int]:
-    # descending value; ties to smallest j+q, then smallest j
-    return (-c.log_value, c.j + c.q, c.j)
-
-
-def _report(
-    cells: List[_Cell], m: int, radius: float, certificates: Dict[str, object]
-) -> AttainmentReport:
-    """Report the first of the sorted cells; each (j, q) occurs once, so the
-    runner-up is the second."""
-    best = cells[0]
-    runner = cells[1] if len(cells) > 1 else None
-    return AttainmentReport(
-        log_value=best.log_value,
-        j=best.j,
-        q=best.q,
-        x=best.x,
-        truncation_m=m,
-        radius=radius,
-        runner_up=None if runner is None else (runner.j, runner.q, runner.x, runner.log_value),
-        gap=NEG_INF if runner is None else best.log_value - runner.log_value,
-        certificates=certificates,
-    )
+def _report(cells: Cells, js, qs, m: int, radius: float, certificates) -> AttainmentReport:
+    """Report the first of the ranked cells (js, qs); the runner-up is the second."""
+    vals, args, _ = cells
+    (j, q, x, v), *rest = [
+        (int(j), int(q), float(args[j, q]), float(vals[j, q])) for j, q in zip(js[:2], qs[:2])
+    ]
+    runner = rest[0] if rest else None
+    gap = NEG_INF if runner is None else v - runner[3]
+    return AttainmentReport(v, j, q, x, m, radius, runner, gap, certificates)
 
 
 def eval_seminorm(
@@ -303,26 +292,30 @@ def eval_seminorm(
         if search.radius is not None:
             raise DomainError("prescribed jets only support center evaluation")
         m = search.m if search.m is not None else max((n for n, _ in model.entries), default=0)
-        cells = sorted(_grid_cells(model, spec, np.array([model.center]), m), key=_cell_order)
-        return _report(cells, m, 0.0, {"kind": "prescribed-jet", "center": model.center})
+        factors = spec.log_factors(m)
+        cells = _grid_cells(model, spec, np.array([model.center]), factors)
+        js, qs = _rank(cells[0], *np.nonzero(factors > NEG_INF))
+        return _report(cells, js, qs, m, 0.0, {"kind": "prescribed-jet", "center": model.center})
     m = search.m if search.m is not None else M_INIT
     radius = search.radius
     while True:
         r = radius if radius is not None else default_radius(model, m)
         xs = _grid(r, search.points)
-        cells = sorted(_grid_cells(model, spec, xs, m), key=_cell_order)
-        best = cells[0]
-        if best.log_value == NEG_INF:
+        factors = spec.log_factors(m)
+        cells = _grid_cells(model, spec, xs, factors)
+        js, qs = _rank(cells[0], *np.nonzero(factors > NEG_INF))
+        vals = cells[0][js, qs]
+        if vals[0] == NEG_INF:
             raise InconclusiveError("seminorm vanished on the whole search set")
         # spatial check: argmax strictly inside the grid
-        if abs(best.x) > 0.98 * r:
+        if abs(cells[1][js[0], qs[0]]) > 0.98 * r:
             if search.radius is not None or r > 1e6:
                 raise InconclusiveError("spatial argmax on the grid edge at |x|=%g" % r)
             radius = 2.0 * r
             continue
         # ring check: cells next to the cut are negligible (expq cells have q = 0)
-        boundary = max(c.log_value for c in cells if c.j + c.q >= m - 2)
-        if boundary > best.log_value + math.log(EPS_TAIL):
+        boundary = float(np.max(vals[js + qs >= m - 2]))
+        if boundary > vals[0] + math.log(EPS_TAIL):
             if search.m is not None:
                 raise InconclusiveError(
                     "attainment too close to the truncation cut j+q <= %d" % m
@@ -335,10 +328,13 @@ def eval_seminorm(
             continue
         break
     if search.refine:
-        top = _refine_cells(model, spec, cells[:REFINE_TOP], xs)
-        cells = sorted(top, key=_cell_order) + cells[REFINE_TOP:]
+        js, qs = js[:REFINE_TOP], qs[:REFINE_TOP]
+        _refine_cells(model, spec, cells, factors, xs, js, qs)
+        js, qs = _rank(cells[0], js, qs)
     return _report(
         cells,
+        js,
+        qs,
         m,
         r,
         {
@@ -361,10 +357,8 @@ def attainment_matrix(
         raise DomainError("attainment matrices need a spatial model")
     r = search.radius if search.radius is not None else default_radius(model, m)
     xs = _grid(r, search.points)
-    out = np.full((m + 1, m + 1), NEG_INF)
-    cells = _grid_cells(model, spec, xs, m)
+    factors = spec.log_factors(m)
+    cells = _grid_cells(model, spec, xs, factors)
     if search.refine:
-        cells = _refine_cells(model, spec, cells, xs)
-    for c in cells:
-        out[c.j, c.q] = c.log_value
-    return out
+        _refine_cells(model, spec, cells, factors, xs, *np.nonzero(factors > NEG_INF))
+    return cells[0]

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, GsdynError
+from .errors import ConfigurationError, DomainError, GsdynError, ResourceLimitError
 
 CONDITIONS = (
     "alpha",
@@ -76,7 +76,10 @@ class LogPower(Weight):
     def _eval(self, t: float) -> float:
         if t <= 1.0:
             return 0.0
-        return math.log(t) ** self.p
+        try:
+            return math.log(t) ** self.p
+        except OverflowError:
+            raise ResourceLimitError("%s at t=%g overflows" % (self.spec(), t)) from None
 
     def spec(self) -> str:
         return "logpow:%g" % self.p

@@ -199,6 +199,7 @@ class RhoConstruction:
     attainment: Tuple[int, int, float]  # (j, q, x) of the verification run
     truncation_m: int
     log_rho: float
+    log_value: float  # p_lam(model), the value of the verification run
 
 
 def rho_construction(
@@ -221,13 +222,13 @@ def rho_construction(
     if m < 0:
         raise DomainError("dominance order must be >= 0")
     spec = SeminormSpec("plainp", w, lam=lam)
-    base = eval_seminorm(f, spec)
-    if m == 0 and (
-        base.j >= base.q if direction == "derivative" else base.q >= base.j
-    ):
-        return RhoConstruction(
-            1.0, 0, direction, f, (base.j, base.q, base.x), base.truncation_m, 0.0
-        )
+    if m == 0:
+        base = eval_seminorm(f, spec)
+        if base.j >= base.q if direction == "derivative" else base.q >= base.j:
+            return RhoConstruction(
+                1.0, 0, direction, f, (base.j, base.q, base.x), base.truncation_m, 0.0,
+                base.log_value,
+            )
     cheap = SearchSpec(refine=False)
     m0 = m + 1
     trunc = 4 * m0 + 16
@@ -238,37 +239,26 @@ def rho_construction(
         box = mat[: m0 + 1, : m0 + 1]
         if not np.all(np.isfinite(box)):
             raise VerificationError("attainment matrix vanishes inside the box")
-        boxmin = float(np.min(box))
-        shell = [
-            max(mat[j, n - j] for j in range(n + 1)) for n in range(trunc + 1)
-        ]
-        big_m = None
-        for cand in range(1, trunc + 1):
-            if all(s <= boxmin - math.log(2.0) for s in shell[cand:]):
-                big_m = cand
-                break
+        j, q = np.indices(mat.shape)
+        shell = np.full(2 * trunc + 1, NEG_INF)  # shell[n] = max of the entries j + q = n
+        np.maximum.at(shell, (j + q).ravel(), mat.ravel())
+        tail = np.maximum.accumulate(shell[trunc::-1])[::-1]  # tail[n] = max of shells >= n
+        quiet = np.flatnonzero(tail[1:] <= float(np.min(box)) - math.log(2.0))
+        big_m = int(quiet[0]) + 1 if len(quiet) else None
         if big_m is not None and 2 * big_m + m + 1 <= trunc:
             break
         trunc *= 2
         if trunc > 4096:
             raise ResourceLimitError("no truncation certifies the entry decay")
-    log_ratios: List[float] = []
-    for q in range(big_m + 1):
-        for k in range(-q, m + 1):
-            j = q + k
-            if j < 0:
-                continue
-            a0, a1 = mat[j, q], mat[j + 1, q]
-            if math.isfinite(a0) and math.isfinite(a1):
-                log_ratios.append(a0 - a1)
     anchor = mat[1, 0]
     if not math.isfinite(anchor):
         raise VerificationError("anchor entry a_{1,0} vanished")
-    for j in range(big_m + 1):
-        for q in range(big_m + 1):
-            if math.isfinite(mat[j, q]):
-                log_ratios.append(mat[j, q] - anchor)
-    log_rho = float(max(math.log(1.05) + max(log_ratios), math.log(1.05)))
+    # a_{j,q} / a_{j+1,q} for q <= M, j <= q + m, and a_{j,q} / a_{1,0} for j, q <= M
+    a0, a1 = mat[:-1], mat[1:]
+    consecutive = (q[:-1] <= big_m) & (j[:-1] <= q[:-1] + m) & np.isfinite(a0) & np.isfinite(a1)
+    boxed = (j <= big_m) & (q <= big_m) & np.isfinite(mat)
+    top = max(np.max(a0[consecutive] - a1[consecutive]), np.max(mat[boxed] - anchor))
+    log_rho = float(max(math.log(1.05) + top, math.log(1.05)))
     rho = math.exp(log_rho)
     g: FunctionModel = Scaled(f, rho if direction == "derivative" else 1.0 / rho)
     check = eval_seminorm(g, spec)
@@ -279,7 +269,8 @@ def rho_construction(
             % (check.j, check.q, m)
         )
     return RhoConstruction(
-        rho, m, direction, g, (check.j, check.q, check.x), check.truncation_m, log_rho
+        rho, m, direction, g, (check.j, check.q, check.x), check.truncation_m, log_rho,
+        check.log_value,
     )
 
 
@@ -347,17 +338,15 @@ def witness_dilation_blowup(
     log_rhos: List[float] = []
     for ell in range(1, ell_max + 1):
         rc = rho_construction(f, w, h, ell, "derivative")
-        den = eval_seminorm(rc.model, spec_h)
         num = eval_seminorm(Scaled(rc.model, scale), spec_k)
-        v = num.log_value - den.log_value
+        v = num.log_value - rc.log_value
         values.append((ell, v))
-        gaps.append(den.j - den.q)
+        jb, qb, _ = rc.attainment  # the p_h attainment of g_ell
+        gaps.append(jb - qb)
         log_rhos.append(rc.log_rho)
-        # analytic lower bound recomputed from the attainment indices
-        jb, qb = den.j, den.q
-        wf_gap = -k * young_conjugate(w, (jb + qb) / k) + h * young_conjugate(
-            w, (jb + qb) / h
-        )
+        # analytic lower bound: the cell factor at the p_h attainment
+        n = jb + qb
+        wf_gap = float(spec_k.log_factors(n)[jb, qb] - spec_h.log_factors(n)[jb, qb])
         lb = m * (jb - qb) * math.log(abs(a)) + wf_gap
         lower_bounds_ok.append(v >= lb - 1e-9 * max(1.0, abs(lb)))
     return classify_growth(
@@ -574,6 +563,8 @@ def witness_deg2_topologizable(
     """
     if a <= 2:
         raise DomainError("this construction needs a > 2")
+    if m_max < 1:
+        raise DomainError("deg2 witness needs m_max >= 1")
     if psi.degree < 2:
         raise DomainError("this witness is for deg(psi) >= 2")
     if not check_condition(w, "subadditive").holds:

@@ -53,8 +53,19 @@ def test_usage_error_exits_2():
         ["witness", "delta", "--lam", "nan"],
         ["witness", "delta", "--delta", "nan"],
         ["conjugate", "--weight", "gevrey:2", "--x", "nan"],
+        ["witness", "deg2", "--m-max", "0"],
+        ["witness", "fourier", "--tol", "nan"],
+        ["witness", "fourier", "--tol", "0"],
+        ["witness", "fourier", "--tol", "-1e-6"],
     ):
         assert main(argv) == 2, argv
+
+
+def test_logpower_overflow_exits_3(capsys):
+    # log(t)^p leaves the double range on the condition grids: a typed limit
+    for weight in ("logpower:110", "logpower:200"):
+        assert main(["weight-check", "--weight", weight]) == 3
+        assert "overflows" in capsys.readouterr().err
 
 
 def test_dilation_past_double_range_exits_3(capsys, monkeypatch):

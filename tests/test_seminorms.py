@@ -166,12 +166,60 @@ def test_value_matches_matrix_max(scale):
 )
 def test_refine_cells_lockstep_equals_one_by_one(model, spec):
     # refining the top cells together gives exactly what each gives refined alone
-    from gsdyn.seminorms import REFINE_TOP, _cell_order, _grid, _grid_cells, _refine_cells
+    from gsdyn.seminorms import REFINE_TOP, _grid, _grid_cells, _rank, _refine_cells
 
     xs = _grid(default_radius(model, 16), 2048)
-    top = sorted(_grid_cells(model, spec, xs, 16), key=_cell_order)[:REFINE_TOP]
-    together = _refine_cells(model, spec, top, xs)
-    alone = [_refine_cells(model, spec, [c], xs)[0] for c in top]
-    assert together == alone
-    assert all(r.log_value >= c.log_value for r, c in zip(together, top))
-    assert any(r.x != c.x for r, c in zip(together, top))  # the refinement moved
+    factors = spec.log_factors(16)
+    grid = _grid_cells(model, spec, xs, factors)
+    js, qs = _rank(grid[0], *np.nonzero(factors > -math.inf))
+    js, qs = js[:REFINE_TOP], qs[:REFINE_TOP]
+    together = [t.copy() for t in grid]
+    _refine_cells(model, spec, together, factors, xs, js, qs)
+    alone = [t.copy() for t in grid]
+    for lane in range(len(js)):
+        _refine_cells(model, spec, alone, factors, xs, js[lane : lane + 1], qs[lane : lane + 1])
+    assert all(np.array_equal(t, a) for t, a in zip(together, alone))
+    assert np.all(together[0][js, qs] >= grid[0][js, qs])
+    assert np.any(together[1][js, qs] != grid[1][js, qs])  # the refinement moved
+
+
+def _index_log_factor(spec, j, q):
+    # the index factor of one cell, as the per-cell tabulation computed it
+    if spec.family in ("plainp", "globalp"):
+        return -spec.lam * young_conjugate(spec.weight, (j + q) / spec.lam)
+    if spec.family == "expq":
+        return -spec.lam * young_conjugate(spec.weight, j / spec.lam)
+    return (j + q) * math.log(spec.mu) - spec.s * (math.lgamma(j + 1) + math.lgamma(q + 1))
+
+
+def _per_cell_matrix(model, spec, m):
+    # reference: one argmax and one index factor per cell, in a Python loop
+    from gsdyn.seminorms import _grid
+
+    xs = _grid(default_radius(model, m), SearchSpec().points)
+    _, jlogs = model.grid_jets(xs, m)
+    spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
+    out = np.full((m + 1, m + 1), -math.inf)
+    for j in range(m + 1):
+        for q in range(m - j + 1 if spec.uses_q else 1):
+            vals = jlogs[j] + spatial[q]
+            top = float(vals[int(np.argmax(vals))])
+            if top != -math.inf:
+                out[j, q] = top + _index_log_factor(spec, j, q)
+    return out
+
+
+@pytest.mark.parametrize("model", ["gauss:1", "scaled:-2:gauss:1", "shift:1.5:gauss:1"])
+@pytest.mark.parametrize("family", ["plainp", "globalp", "expq", "gevreyseq"])
+def test_unrefined_matrix_equals_per_cell_loop(model, family):
+    spec = {
+        "plainp": SeminormSpec("plainp", G2, lam=2.0),
+        "globalp": SeminormSpec("globalp", LogPower(2.0), lam=1.0),
+        "expq": SeminormSpec("expq", G2, mu=0.5),
+        "gevreyseq": SeminormSpec("gevreyseq", mu=2.0, s=1.5),
+    }[family]
+    f = parse_model(model)
+    mat = attainment_matrix(f, spec, 16, SearchSpec(refine=False))
+    ref = _per_cell_matrix(f, spec, 16)
+    assert np.isfinite(ref).sum() == (153 if spec.uses_q else 17)
+    assert (mat == ref).all()

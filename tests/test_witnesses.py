@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from gsdyn.errors import DomainError, ResourceLimitError
-from gsdyn.jets import Gaussian
+from gsdyn.jets import Gaussian, parse_model
 from gsdyn.polynomials import AffineMap, Polynomial, conjugate_by
-from gsdyn.seminorms import SearchSpec, SeminormSpec
-from gsdyn.weights import Gevrey, LogPower
+from gsdyn.seminorms import SearchSpec, SeminormSpec, eval_seminorm
+from gsdyn.weights import Gevrey, LogPower, parse_weight
 from gsdyn.witnesses import (
     classify_growth,
     falling_factorial_2m,
@@ -185,6 +185,39 @@ def test_rho_construction_forces_gap():
     rc = rho_construction(Gaussian(1.0), G2, 2.0, 1, "polynomial")
     j, q, _ = rc.attainment
     assert q - j >= 1
+
+
+@pytest.mark.parametrize(
+    "model, weight, lam, m, direction, log_rho",
+    [
+        ("gauss:1", "gevrey:2", 1.0, 2, "derivative", 5.639071040534944),
+        ("gauss:1", "gevrey:2", 1.0, 2, "polynomial", 5.909574353115627),
+        ("gauss:1", "logpower:2", 0.5, 3, "derivative", 19.857438065733376),
+        ("shift:1.5:gauss:1", "root:2:gevrey:2", 2.0, 1, "polynomial", 11.403828205963862),
+    ],
+)
+def test_rho_construction_pinned(model, weight, lam, m, direction, log_rho):
+    # the table-wide maxima are exact, so log rho is pinned to the last bit
+    w = parse_weight(weight)
+    rc = rho_construction(parse_model(model), w, lam, m, direction)
+    assert rc.log_rho == log_rho
+    assert rc.log_value == eval_seminorm(rc.model, SeminormSpec("plainp", w, lam=lam)).log_value
+
+
+def test_dilation_evaluates_each_seminorm_once(monkeypatch):
+    # per ell: p_h(g_ell) in the rho-construction's check, p_k(g_ell(a^m .)) once
+    import gsdyn.witnesses as witnesses
+
+    lams = []
+    real = witnesses.eval_seminorm
+
+    def counting(model, spec, *args):
+        lams.append(spec.lam)
+        return real(model, spec, *args)
+
+    monkeypatch.setattr(witnesses, "eval_seminorm", counting)
+    witness_dilation_blowup(G2, 2.0, 1.0, 2.0, 1, 3)
+    assert sorted(lams) == [1.0] * 3 + [2.0] * 3
 
 
 def test_dilation_blowup_reflection_constant():
