@@ -257,8 +257,8 @@ def rho_construction(
     a0, a1 = mat[:-1], mat[1:]
     consecutive = (q[:-1] <= big_m) & (j[:-1] <= q[:-1] + m) & np.isfinite(a0) & np.isfinite(a1)
     boxed = (j <= big_m) & (q <= big_m) & np.isfinite(mat)
-    top = max(np.max(a0[consecutive] - a1[consecutive]), np.max(mat[boxed] - anchor))
-    log_rho = float(max(math.log(1.05) + top, math.log(1.05)))
+    log_ratio = max(np.max(a0[consecutive] - a1[consecutive]), np.max(mat[boxed] - anchor))
+    log_rho = float(max(math.log(1.05) + log_ratio, math.log(1.05)))
     rho = math.exp(log_rho)
     g: FunctionModel = Scaled(f, rho if direction == "derivative" else 1.0 / rho)
     check = eval_seminorm(g, spec)
