@@ -57,7 +57,8 @@ def _closed_form(w: Weight, x: float) -> float:
 def _golden_max(f, a, b, steps: int):
     """`steps` golden-section steps for the max of a unimodal f on [a, b]; returns
     the final midpoint.  a, b may be arrays of brackets searched in lockstep (f
-    maps one probe per lane to its value), each lane as if searched alone."""
+    maps one probe per lane to its value), each lane as if searched alone.  Its one
+    caller is the numeric conjugate oracle, `_numeric_sup`."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

@@ -249,6 +249,11 @@ class FunctionModel:
     def spec(self) -> str:
         raise NotImplementedError
 
+    def label(self) -> str:
+        """spec() for error messages: past 120 characters, elided in the middle."""
+        text = self.spec()
+        return text if len(text) <= 120 else text[:80] + "..." + text[-37:]
+
 
 def _check_order(order: int) -> None:
     if order < 0:
@@ -420,7 +425,12 @@ class Composed(FunctionModel):
                 fact *= i
                 if cur.is_zero():
                     break
-            cs = [float(c) for c in cur.coeffs]
+            try:
+                cs = [float(c) for c in cur.coeffs]
+            except OverflowError:
+                raise ResourceLimitError(
+                    "%s: a Taylor coefficient of order %d overflows a float" % (self.label(), i)
+                ) from None
             acc = np.full(xs.shape[0], cs[-1])
             for c in reversed(cs[:-1]):
                 acc = acc * xs + c

@@ -5,10 +5,14 @@ M doubles from M_INIT while the ring of cells next to the cut (j+q >= M-2)
 comes within a factor EPS_TAIL of the best cell; this ring check is a
 heuristic, not a tail bound.  Every search fills one (m+1) x (m+1) table of
 cells (j, q): the best point of each on a log-symmetric grid, times its index
-factor.  Golden-section steps then refine the leading cells of that table in
-lockstep on the same grid_jets/spatial_log_rows evaluation, so the spatial
-supremum is a lower bound.  Everything is carried as log-values, and the
-report states exactly what finite evidence backs the number.
+factor.  A safeguarded Newton iteration on the log-derivative then refines the
+leading cells of that table in lockstep, on the order-(j+2) jets of the same
+grid_jets evaluation: each cell stops on its own once its Newton step is a few
+ulps, its slope is 0, no point left in its bracket can raise its value past
+rounding, or its bracket has collapsed (64 probe rounds at most).  The spatial
+supremum is therefore a lower bound.  A NaN jet is refused with
+ResourceLimitError.  Everything is carried as log-values, and the report
+states exactly what finite evidence backs the number.
 """
 
 from __future__ import annotations
@@ -19,17 +23,18 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .conjugate import ShiftConstants, _golden_max, lambda_shift_constants, young_conjugate
-from .errors import ConfigurationError, DomainError, InconclusiveError
+from .conjugate import ShiftConstants, lambda_shift_constants, young_conjugate
+from .errors import ConfigurationError, DomainError, InconclusiveError, ResourceLimitError
 from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated
 from .weights import Weight
 
 NEG_INF = float("-inf")
+_EPS = float(np.finfo(float).eps)
 
 M_INIT = 16  # first truncation order of an automatic search
 M_CAP = 256  # largest truncation order it may double to
 EPS_TAIL = 1e-12  # the ring next to the cut must stay below EPS_TAIL x best
-REFINE_STEPS = 90  # golden-section steps per refined cell
+REFINE_ROUNDS = 64  # probe rounds per refinement at most; bisection alone reaches ulps in ~50
 REFINE_TOP = 6  # cells refined after the grid search
 
 FAMILIES = ("plainp", "globalp", "expq", "gevreyseq")
@@ -93,6 +98,23 @@ class SeminormSpec:
             rows = np.arange(m_max + 1)[:, None] * base[None, :]
         rows[np.isnan(rows)] = 0.0  # 0 * log 0 at the origin, q = 0 row
         return rows
+
+    def spatial_log_slopes(self, xs: np.ndarray, qs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """First and second x-derivatives of row qs[k] of spatial_log_rows at xs[k].
+
+        The origin reads as flat (both 0): every row is flat there or has its
+        minimum there (-inf, a kink or a Gevrey cusp), so no maximum sits at 0
+        with a slope to follow."""
+        ax = np.abs(xs)
+        t = np.where(ax > 0, ax, 1.0)
+        if self.family == "expq":
+            d1, d2 = self.weight.derivatives(t)
+            d1, d2 = self.mu * d1, self.mu * d2
+        elif self.family == "globalp":
+            d1, d2 = qs / (1.0 + t), -qs / (1.0 + t) ** 2
+        else:
+            d1, d2 = qs / t, -qs / t**2
+        return np.where(ax > 0, np.sign(xs) * d1, 0.0), np.where(ax > 0, d2, 0.0)
 
     def describe(self) -> Dict[str, object]:
         out: Dict[str, object] = {"family": self.family, "lam": self.lam}
@@ -223,7 +245,7 @@ def _grid_cells(
     search grid, the center for a prescribed jet's one-point grid.
     """
     m = len(factors) - 1
-    _, jlogs = model.grid_jets(xs, m)
+    _, jlogs = _jets(model, xs, m)
     spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
     top = np.full(factors.shape, NEG_INF)
     idx = np.zeros(factors.shape, dtype=np.intp)
@@ -242,26 +264,74 @@ def _rank(vals: np.ndarray, js: np.ndarray, qs: np.ndarray) -> Tuple[np.ndarray,
     return js[order], qs[order]
 
 
+def _jets(model: FunctionModel, xs: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """model.grid_jets, refusing NaN logs (a jet past the model's float range)."""
+    signs, logs = model.grid_jets(xs, order)
+    bad = np.isnan(logs).any(axis=1)
+    if bad.any():
+        raise ResourceLimitError(
+            "jets of %s are NaN from order %d on this grid" % (model.label(), int(np.argmax(bad)))
+        )
+    return signs, logs
+
+
 def _refine_cells(
     model: FunctionModel, spec: SeminormSpec, cells: Cells, factors: np.ndarray, xs, js, qs
 ) -> None:
-    """Golden-section refinement of the cells (js, qs) in lockstep, each between
-    the grid neighbours of its best point: every probe round is one grid_jets and
-    one spatial_log_rows call, one probe per cell.  A cell takes its refined
-    point where that is better, in place; a vanishing cell stays as is."""
+    """Safeguarded Newton refinement of the cells (js, qs) in lockstep, one lane
+    per cell, each on L'(x) = 0 with L = log|f^(j)| + S_q in the bracket of the
+    grid neighbours of its best point.  Every probe round is one grid_jets call
+    to order j_max+2, one probe per lane, which gives L' and L''.  The bracket
+    shrinks by the sign of L'; the next probe is the Newton point when L'' < 0
+    and it lies inside the bracket, else the midpoint.  A lane stops when the
+    Newton step is within a few ulps of the bracket, L' = 0, no point of the
+    bracket can raise L past rounding (|L'| x width, which also ends the linear
+    convergence at degenerate maxima), or the bracket has collapsed.  A cell
+    takes its refined point, valued from order-j_max jets, where that is better,
+    in place; a vanishing cell stays as is."""
     vals, x, idx = cells
     j_max, q_max, lanes = int(js.max()), int(qs.max()), np.arange(len(js))  # expq: q = 0
 
-    def g(probes: np.ndarray) -> np.ndarray:
-        signs, logs = model.grid_jets(probes, j_max)
+    def g(probes: np.ndarray, order: int):
+        signs, logs = _jets(model, probes, order)
         spatial = spec.spatial_log_rows(probes, q_max)
-        return np.where(signs[js, lanes] != 0, logs[js, lanes], NEG_INF) + spatial[qs, lanes]
+        v = np.where(signs[js, lanes] != 0, logs[js, lanes], NEG_INF) + spatial[qs, lanes]
+        return signs, logs, v
 
     i = idx[js, qs]
-    x_star = _golden_max(
-        g, xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, len(xs) - 1)], REFINE_STEPS
-    )
-    v = g(x_star) + factors[js, qs]
+    lo, hi = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, len(xs) - 1)]
+    tol = 4.0 * _EPS * (np.abs(lo) + np.abs(hi))
+    probe = xs[i]
+    x_star = probe.copy()
+    active = vals[js, qs] != NEG_INF
+    for _ in range(REFINE_ROUNDS):
+        if not active.any():
+            break
+        signs, logs, level = g(probe, j_max + 2)
+        s0, l0 = signs[js, lanes], logs[js, lanes]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r1 = signs[js + 1, lanes] * s0 * np.exp(logs[js + 1, lanes] - l0)  # f^(j+1)/f^(j)
+            r2 = signs[js + 2, lanes] * s0 * np.exp(logs[js + 2, lanes] - l0)  # f^(j+2)/f^(j)
+            s1, s2 = spec.spatial_log_slopes(probe, qs)
+            d1, d2 = r1 + s1, r2 - r1 * r1 + s2
+            step = -d1 / d2
+        lo = np.where(active & (d1 > 0), probe, lo)
+        hi = np.where(active & (d1 < 0), probe, hi)
+        newton = (d2 < 0) & (lo < probe + step) & (probe + step < hi)
+        done = active & (
+            (level == NEG_INF)
+            | np.isnan(d1)
+            | (d1 == 0)
+            | ((d2 < 0) & (np.abs(step) <= tol))
+            | (np.abs(d1) * (hi - lo) <= 4.0 * _EPS * np.maximum(1.0, np.abs(level)))
+            | (hi - lo <= tol)
+        )
+        nxt = np.where(newton, probe + step, 0.5 * (lo + hi))
+        x_star = np.where(done, np.where(newton, nxt, probe), x_star)
+        active &= ~done
+        probe = np.where(active, nxt, probe)
+    x_star = np.where(active, probe, x_star)
+    v = g(x_star, j_max)[2] + factors[js, qs]
     better = (vals[js, qs] != NEG_INF) & (v > vals[js, qs])
     vals[js[better], qs[better]] = v[better]
     x[js[better], qs[better]] = x_star[better]

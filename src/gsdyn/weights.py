@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class Weight:
     def _eval(self, t: float) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def derivatives(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(omega'(t), omega''(t)) elementwise on an array of t > 0."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
     def spec(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -58,6 +62,11 @@ class Gevrey(Weight):
 
     def _eval(self, t: float) -> float:
         return t ** (1.0 / self.d)
+
+    def derivatives(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        e = 1.0 / self.d
+        d1 = e * t ** (e - 1.0)
+        return d1, (e - 1.0) * d1 / t
 
     def spec(self) -> str:
         return "gevrey:%g" % self.d
@@ -81,6 +90,14 @@ class LogPower(Weight):
         except OverflowError:
             raise ResourceLimitError("%s at t=%g overflows" % (self.spec(), t)) from None
 
+    def derivatives(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # zero on t <= 1; with u = log t past it, p u^(p-1)/t and p u^(p-2)(p-1-u)/t^2
+        u = np.log(np.maximum(t, 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 = np.where(t > 1.0, self.p * u ** (self.p - 1.0) / t, 0.0)
+            d2 = np.where(t > 1.0, self.p * u ** (self.p - 2.0) * (self.p - 1.0 - u) / t**2, 0.0)
+        return d1, d2
+
     def spec(self) -> str:
         return "logpow:%g" % self.p
 
@@ -98,6 +115,13 @@ class RootComposed(Weight):
 
     def _eval(self, t: float) -> float:
         return self.base(t ** (1.0 / self.a))
+
+    def derivatives(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # chain rule through s = t^(1/a): base'(s) s' and base''(s) s'^2 + base'(s) s''
+        e = 1.0 / self.a
+        s1 = e * t ** (e - 1.0)
+        b1, b2 = self.base.derivatives(t**e)
+        return b1 * s1, b2 * s1 * s1 + b1 * (e - 1.0) * s1 / t
 
     def spec(self) -> str:
         return "root:%g:%s" % (self.a, self.base.spec())

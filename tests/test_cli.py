@@ -231,3 +231,12 @@ def test_config_bad_value_exits_2(tmp_path):
         r = run_cli(*SEMINORM, "--config", str(cfg))
         assert r.returncode == 2, (key, r.stderr)
         assert "config key %r" % key in r.stderr
+
+
+def test_deg2_float_overflow_exits_3(capsys):
+    # the expanded iterates of this cubic leave the float range: their jets
+    # turn NaN at m = 6 (and a coefficient overflows float() at m = 7), which
+    # is a typed limit, not a traceback
+    argv = ["witness", "deg2", "--weight", "gevrey:2", "--a", "3", "--psi", "1/3,-2,0,1"]
+    assert main(argv + ["--m-max", "7"]) == 3
+    assert "are NaN from order" in capsys.readouterr().err

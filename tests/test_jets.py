@@ -224,3 +224,10 @@ def test_composed_inner_values_match_scalar_horner():
                 scalar = np.array([float(model.poly(float(x))) for x in xs])
                 vector = model._poly_taylor_rows(xs, 3)[0]
                 assert np.array_equal(vector, scalar), (spec, m, len(xs))
+
+
+def test_composed_float_overflow_is_a_resource_limit():
+    # a coefficient past the double range cannot enter the float Horner rows
+    model = Composed(Gaussian(1.0), Polynomial.of([0, 10**400]))
+    with pytest.raises(ResourceLimitError, match="order 0 overflows a float"):
+        model.grid_jets(np.array([0.5]), 4)

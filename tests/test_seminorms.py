@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,106 @@ def test_refine_cells_lockstep_equals_one_by_one(model, spec):
     assert np.any(together[1][js, qs] != grid[1][js, qs])  # the refinement moved
 
 
+def _top_cells_refined(model, spec, m=16):
+    # the grid table and the same table with its top REFINE_TOP cells refined
+    from gsdyn.seminorms import REFINE_TOP, _grid, _grid_cells, _rank, _refine_cells
+
+    xs = _grid(default_radius(model, m), SearchSpec().points)
+    factors = spec.log_factors(m)
+    grid = _grid_cells(model, spec, xs, factors)
+    js, qs = _rank(grid[0], *np.nonzero(factors > -math.inf))
+    js, qs = js[:REFINE_TOP], qs[:REFINE_TOP]
+    refined = [t.copy() for t in grid]
+    _refine_cells(model, spec, refined, factors, xs, js, qs)
+    return grid, refined, js, qs
+
+
+def test_refinement_converges_in_few_probe_rounds(monkeypatch):
+    # a Newton lane converges in a handful of rounds; plain bisection would
+    # take about 50, so this count catches a silent fall-back to it
+    from gsdyn.seminorms import REFINE_TOP
+
+    calls = []
+    real = Gaussian.grid_jets
+
+    def counting(self, xs, order):
+        calls.append(len(xs))
+        return real(self, xs, order)
+
+    monkeypatch.setattr(Gaussian, "grid_jets", counting)
+    _top_cells_refined(Gaussian(1.0), SeminormSpec("plainp", G2))
+    grid, *refinement = calls
+    assert grid == SearchSpec().points + 1
+    assert 2 <= len(refinement) <= 8
+    assert set(refinement) == {REFINE_TOP}
+
+
+_SPATIAL_SPECS = {
+    "plainp": SeminormSpec("plainp", G2),
+    "globalp": SeminormSpec("globalp", G2),
+    "expq-gevrey": SeminormSpec("expq", G2, mu=0.5),
+    "expq-logpower": SeminormSpec("expq", LogPower(2.0), mu=0.5),
+    "gevreyseq": SeminormSpec("gevreyseq", mu=2.0, s=1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPATIAL_SPECS))
+def test_spatial_log_slopes_match_mpmath(name):
+    # first and second derivatives of each spatial row, against mpmath.diff
+    # of spatial_log_rows itself (central differences on the float rows)
+    spec = _SPATIAL_SPECS[name]
+    xs = np.array([-3.2, -1.5, -0.7, -0.05, 0.05, 0.7, 1.5, 3.2])
+    q_rows = (0, 1, 5) if spec.uses_q else (0,)
+    for q in q_rows:
+        d1, d2 = spec.spatial_log_slopes(xs, np.full(len(xs), q))
+        for x, a1, a2 in zip(xs.tolist(), d1.tolist(), d2.tolist()):
+            row = lambda t: float(spec.spatial_log_rows(np.array([float(t)]), q)[q, 0])  # noqa: E731
+            h = 1e-3 * abs(x)
+            r1, r2 = (float(mpmath.diff(row, x, n, h=h)) for n in (1, 2))
+            assert a1 == pytest.approx(r1, rel=1e-5, abs=1e-9), (name, q, x)
+            assert a2 == pytest.approx(r2, rel=1e-5, abs=1e-6), (name, q, x)
+
+
+def _mp_slope(spec, shift, j, q):
+    # L'(x) for f = exp(-(x + shift)^2), from f^(j)(x) = (-1)^j H_j(u) e^(-u^2)
+    # with u = x + shift and H_j' = 2j H_(j-1); no code shared with the engine
+    omega = {"gevrey:2": mpmath.sqrt, "logpow:2": lambda t: mpmath.log(t) ** 2 if t > 1 else 0}
+
+    def slope(x):
+        u = x + shift
+        out = -2 * u
+        if j > 0:
+            out += 2 * j * mpmath.hermite(j - 1, u) / mpmath.hermite(j, u)
+        if spec.family == "expq":
+            w = omega[spec.weight.spec()]
+            out += spec.mu * mpmath.diff(lambda t: w(abs(t)), x)
+        elif spec.family == "globalp":
+            out += q * mpmath.sign(x) / (1 + abs(x))
+        elif q:
+            out += q / x
+        return out
+
+    return slope
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.5], ids=["gauss", "shifted"])
+@pytest.mark.parametrize("name", sorted(_SPATIAL_SPECS))
+def test_refined_argmax_matches_mpmath_root(name, shift):
+    # each refined top cell sits on the root of L' next to it, to ~1e-12
+    spec = _SPATIAL_SPECS[name]
+    model = Translated(Gaussian(1.0), shift) if shift else Gaussian(1.0)
+    grid, refined, js, qs = _top_cells_refined(model, spec)
+    assert np.all(refined[0][js, qs] >= grid[0][js, qs])
+    with mpmath.workdps(30):
+        for j, q in zip(js.tolist(), qs.tolist()):
+            x = float(refined[1][j, q])
+            delta = 1e-6 * max(1.0, abs(x))
+            root = mpmath.findroot(
+                _mp_slope(spec, shift, j, q), (x - delta, x + delta), solver="illinois"
+            )
+            assert abs(x - float(root)) <= 1e-12 * max(1.0, abs(float(root))), (j, q, x)
+
+
 def _index_log_factor(spec, j, q):
     # the index factor of one cell, as the per-cell tabulation computed it
     if spec.family in ("plainp", "globalp"):
@@ -223,3 +324,16 @@ def test_unrefined_matrix_equals_per_cell_loop(model, family):
     ref = _per_cell_matrix(f, spec, 16)
     assert np.isfinite(ref).sum() == (153 if spec.uses_q else 17)
     assert (mat == ref).all()
+
+
+def test_nan_jets_are_a_resource_limit():
+    # the expanded iterate x^81 overflows the t-rescaling near |x| = 1e-5 at
+    # order 16: the search refuses it instead of ranking a NaN cell
+    from gsdyn.errors import ResourceLimitError
+    from gsdyn.jets import Composed
+    from gsdyn.polynomials import Polynomial, iterate
+
+    model = Composed(Gaussian(1.0), iterate(Polynomial.of([0, 0, 0, 1]), 4))
+    with np.errstate(all="ignore"), pytest.raises(ResourceLimitError) as err:
+        eval_seminorm(model, SeminormSpec("plainp", G2))
+    assert "order 16" in str(err.value) and str(err.value).endswith("1:gauss:1 are NaN from order 16 on this grid")

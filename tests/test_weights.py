@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,3 +175,32 @@ def test_epsilon_without_a_tail_bound_is_inconclusive():
     # quadrature stops, so no power-law bound covers the rest
     rep = check_condition(LogPower(100.0), "epsilon")
     assert rep.verdict == "inconclusive" and rep.constants["tail_exponent"] >= 1.0
+
+
+def _mp_omega(w):
+    # omega in mpmath arithmetic, from the family's formula
+    if isinstance(w, Gevrey):
+        return lambda t: t ** (mpmath.mpf(1) / w.d)
+    if isinstance(w, LogPower):
+        return lambda t: mpmath.log(t) ** w.p if t > 1 else mpmath.mpf(0)
+    base = _mp_omega(w.base)
+    return lambda t: base(t ** (mpmath.mpf(1) / w.a))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["gevrey:1.5", "gevrey:2", "gevrey:3", "logpower:1.5", "logpower:2", "logpower:3",
+     "root:2:gevrey:2"],
+)
+def test_derivatives_match_mpmath(spec):
+    # omega' and omega'' against mpmath.diff of omega, on both sides of the
+    # log-power kink t = 1
+    w = parse_weight(spec)
+    ts = [0.05, 0.3, 0.9, 0.999, 1.001, 1.2, 2.0, 7.5, 40.0, 1e3]
+    d1, d2 = w.derivatives(np.array(ts))
+    om = _mp_omega(w)
+    with mpmath.workdps(30):
+        for t, a1, a2 in zip(ts, d1.tolist(), d2.tolist()):
+            r1, r2 = (float(mpmath.diff(om, t, n)) for n in (1, 2))
+            assert a1 == pytest.approx(r1, rel=1e-12, abs=1e-300), (spec, t)
+            assert a2 == pytest.approx(r2, rel=1e-12, abs=1e-300), (spec, t)

@@ -204,6 +204,17 @@ def test_rho_construction_pinned(model, weight, lam, m, direction, log_rho):
     assert rc.log_value == eval_seminorm(rc.model, SeminormSpec("plainp", w, lam=lam)).log_value
 
 
+def test_rho_polynomial_attainment_is_exact():
+    # g(x) = exp(-(x/rho)^2): sup |x|^16 g(x) sits at |x| = rho sqrt(8) exactly
+    import mpmath
+
+    rc = rho_construction(Gaussian(1.0), G2, 1.0, 2, "polynomial")
+    j, q, x = rc.attainment
+    assert (j, q) == (0, 16)
+    exact = mpmath.sqrt(8) / mpmath.mpf(abs(rc.model.rho))
+    assert abs(abs(mpmath.mpf(x)) - exact) <= 1e-15 * exact
+
+
 def test_dilation_evaluates_each_seminorm_once(monkeypatch):
     # per ell: p_h(g_ell) in the rho-construction's check, p_k(g_ell(a^m .)) once
     import gsdyn.witnesses as witnesses
