@@ -1,4 +1,4 @@
-"""Young conjugates of phi(t) = omega(e^t) and the parameter-shift constants.
+"""Young conjugates of phi(t) = omega(e^t).
 
 Every family's conjugate is exact: a Gevrey-reducible phi(t) = e^(t/d) gives
 x d log(x d / e) on x >= 1/d and -1 below (the sup sits at t = 0 there), a
@@ -10,18 +10,14 @@ is a fixed-step golden-section maximisation of t -> x t - phi(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import BoundaryHitError, DomainError, ResourceLimitError, VerificationError
+from .errors import BoundaryHitError, DomainError, ResourceLimitError
 from .weights import Gevrey, LogPower, RootComposed, Weight, gevrey_index
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 NUMERIC_STEPS = 60  # golden steps of the numeric conjugate: final bracket ~3e-13 x its right end
 T_MAX = 100.0  # first right end of that bracket, doubled while the sup lies beyond
-N_CHECK = 200  # the shift constants are fitted and re-verified on n = 0..N_CHECK
 
 
 def phi(w: Weight, t: float) -> float:
@@ -54,28 +50,25 @@ def _closed_form(w: Weight, x: float) -> float:
     raise DomainError("no closed-form conjugate for weight %s" % w.spec())
 
 
-def _golden_max(f, a, b, steps: int):
-    """`steps` golden-section steps for the max of a unimodal f on [a, b]; returns
-    the final midpoint.  a, b may be arrays of brackets searched in lockstep (f
-    maps one probe per lane to its value), each lane as if searched alone.  Its one
-    caller is the numeric conjugate oracle, `_numeric_sup`."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+def _golden_max(f, a: float, b: float) -> float:
+    """NUMERIC_STEPS golden-section steps for the max of a unimodal f on [a, b];
+    returns the final midpoint."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(steps):
-        left = fc >= fd  # keep [a, d]; else keep [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fp = f(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    for _ in range(NUMERIC_STEPS):
+        if fc >= fd:  # keep [a, d]
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:  # keep [c, b]
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
     return 0.5 * (a + b)
 
 
 def _numeric_sup(w: Weight, x: float) -> float:
-    def f(t) -> float:
-        t = float(t)  # the golden loop probes with 0-d arrays
+    def f(t: float) -> float:
         try:
             return x * t - phi(w, t)
         except OverflowError:
@@ -89,7 +82,7 @@ def _numeric_sup(w: Weight, x: float) -> float:
         expansions += 1
         if expansions > 200:
             raise BoundaryHitError("conjugate maximiser escaped past t=%g" % hi)
-    return max(f(_golden_max(f, 0.0, hi, NUMERIC_STEPS)), f(0.0))
+    return max(f(_golden_max(f, 0.0, hi)), f(0.0))
 
 
 def young_conjugate(w: Weight, x: float, method: str = "closed") -> float:
@@ -101,46 +94,3 @@ def young_conjugate(w: Weight, x: float, method: str = "closed") -> float:
     if method == "numeric":
         return _numeric_sup(w, x)
     raise DomainError("unknown conjugate method %r" % (method,))
-
-
-@dataclass(frozen=True)
-class ShiftConstants:
-    """(mu, A, D) with exp(-lam phi*(n/lam)) <= D A^-n exp(-mu phi*(n/mu))."""
-
-    mu: float
-    A: float
-    D: float
-    n_checked: int
-
-
-def lambda_shift_constants(w: Weight, lam: float) -> ShiftConstants:
-    """Parameter-shift constants behind the seminorm truncation estimate.
-
-    mu = 2 lam always works for the in-scope families; for an effective
-    Gevrey index d the geometric gain is exactly A = 2^d past the conjugate
-    knee, and D absorbs the knee region.
-    """
-    if lam <= 0:
-        raise DomainError("shift constants need lam > 0")
-    mu = 2.0 * lam
-    d = gevrey_index(w)
-    big_a = 2.0 ** d if d is not None else 2.0
-    log_a = math.log(big_a)
-    log_d = 0.0
-    for n in range(N_CHECK + 1):
-        r = (
-            n * log_a
-            - lam * young_conjugate(w, n / lam)
-            + mu * young_conjugate(w, n / mu)
-        )
-        log_d = max(log_d, r)
-    big_d = math.exp(log_d)
-    # re-verify the displayed inequality with the returned constants
-    for n in range(N_CHECK + 1):
-        lhs = -lam * young_conjugate(w, n / lam)
-        rhs = log_d - n * log_a - mu * young_conjugate(w, n / mu)
-        if lhs > rhs + 1e-9 * (1.0 + abs(rhs)):
-            raise VerificationError(
-                "shift constants rejected at n=%d (lhs=%g rhs=%g)" % (n, lhs, rhs)
-            )
-    return ShiftConstants(mu=mu, A=big_a, D=big_d, n_checked=N_CHECK)

@@ -119,15 +119,6 @@ class Jet:
         )
 
     @staticmethod
-    def from_floats(center: float, values: Sequence[float]) -> "Jet":
-        entries = [ls.slog_of_float(v) for v in values]
-        return Jet(
-            center=center,
-            signs=tuple(e[0] for e in entries),
-            logs=tuple(e[1] for e in entries),
-        )
-
-    @staticmethod
     def from_slogs(center: float, entries: Sequence[SLog]) -> "Jet":
         return Jet(
             center=center,
@@ -426,15 +417,11 @@ class Composed(FunctionModel):
                 if cur.is_zero():
                     break
             try:
-                cs = [float(c) for c in cur.coeffs]
+                rows[i] = cur(xs) / fact
             except OverflowError:
                 raise ResourceLimitError(
                     "%s: a Taylor coefficient of order %d overflows a float" % (self.label(), i)
                 ) from None
-            acc = np.full(xs.shape[0], cs[-1])
-            for c in reversed(cs[:-1]):
-                acc = acc * xs + c
-            rows[i] = acc / fact
         return rows
 
     # kept in the class body: perfbench/tracing.py wraps cls.__dict__["jet"]
@@ -453,7 +440,6 @@ class Composed(FunctionModel):
         peak = np.max(f_t_log, axis=0)
         with np.errstate(invalid="ignore"):
             f_t = f_signs * np.exp(f_t_log - peak[None, :])
-        f_t = np.nan_to_num(f_t, nan=0.0)
         # inner series t-rescaled so |b_i| <= 1 (its constant term is not used)
         b = p_rows[1:]
         with np.errstate(divide="ignore"):

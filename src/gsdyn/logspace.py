@@ -42,12 +42,6 @@ def slog_of_fraction(x: Fraction) -> SLog:
     return (1 if x > 0 else -1, log_abs_fraction(x))
 
 
-def slog_of_float(x: float) -> SLog:
-    if x == 0.0:
-        return ZERO
-    return (1 if x > 0 else -1, math.log(abs(x)))
-
-
 def slog_to_float(v: SLog) -> float:
     """Back to a double; overflows to +-inf rather than raising."""
     s, l = v

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ResourceLimitError, VerificationError
 
-Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .conjugate import ShiftConstants, lambda_shift_constants, young_conjugate
+from .conjugate import young_conjugate
 from .errors import ConfigurationError, DomainError, InconclusiveError, ResourceLimitError
 from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated
 from .weights import Weight
@@ -176,25 +176,6 @@ class AttainmentReport:
             "gap": self.gap,
             "certificates": self.certificates,
         }
-
-
-def truncation_order(
-    w: Weight,
-    lam: float,
-    bound_p_mu: float,
-    eps: float,
-    constants: Optional[ShiftConstants] = None,
-) -> int:
-    """Smallest M with D A^-M bound <= eps, via the parameter-shift constants."""
-    if not (math.isfinite(bound_p_mu) and bound_p_mu > 0):
-        raise DomainError("truncation needs a finite positive p_mu bound")
-    if eps <= 0:
-        raise DomainError("truncation needs eps > 0")
-    sc = constants if constants is not None else lambda_shift_constants(w, lam)
-    target = math.log(sc.D) + math.log(bound_p_mu) - math.log(eps)
-    if target <= 0:
-        return 0
-    return int(math.ceil(target / math.log(sc.A) - 1e-12))
 
 
 # --------------------------------------------------------------------------

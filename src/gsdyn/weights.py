@@ -16,18 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, GsdynError, ResourceLimitError
 
-CONDITIONS = (
-    "alpha",
-    "beta",
-    "gamma",
-    "delta",
-    "epsilon",
-    "zeta",
-    "logcond",
-    "subadditive",
-)
-
-
 class Weight:
     """Base class; concrete families below. Instances are immutable."""
 
@@ -57,8 +45,8 @@ class Gevrey(Weight):
     d: float
 
     def __post_init__(self):
-        if not self.d > 1:
-            raise DomainError("Gevrey index must satisfy d > 1, got %r" % (self.d,))
+        if not 1 < self.d < math.inf:
+            raise DomainError("Gevrey index must be finite and > 1, got %r" % (self.d,))
 
     def _eval(self, t: float) -> float:
         return t ** (1.0 / self.d)
@@ -79,8 +67,8 @@ class LogPower(Weight):
     p: float
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise DomainError("log-power exponent must satisfy p > 1, got %r" % (self.p,))
+        if not 1 < self.p < math.inf:
+            raise DomainError("log-power exponent must be finite and > 1, got %r" % (self.p,))
 
     def _eval(self, t: float) -> float:
         if t <= 1.0:
@@ -110,8 +98,8 @@ class RootComposed(Weight):
     a: float
 
     def __post_init__(self):
-        if not self.a >= 1:
-            raise DomainError("root exponent must satisfy a >= 1, got %r" % (self.a,))
+        if not 1 <= self.a < math.inf:
+            raise DomainError("root exponent must be finite and >= 1, got %r" % (self.a,))
 
     def _eval(self, t: float) -> float:
         return self.base(t ** (1.0 / self.a))
@@ -195,7 +183,6 @@ class ConditionReport:
     verdict: str  # "holds" | "fails" | "inconclusive"
     constants: dict = field(default_factory=dict)
     counterexample: Union[float, list, None] = None
-    grid: str = ""
 
     @property
     def holds(self) -> bool:
@@ -207,7 +194,7 @@ class ConditionReport:
             "verdict": self.verdict,
             "constants": dict(self.constants),
             "counterexample": self.counterexample,
-            "grid": self.grid,
+            "grid": _GRID,
         }
 
 
@@ -223,7 +210,7 @@ def _check_alpha(w: Weight) -> ConditionReport:
     for t in _log_grid():
         sup = max(sup, w(2.0 * t) / (w(t) + 1.0))
     big_l = max(1.0, SAFETY * sup)
-    return ConditionReport("alpha", "holds", {"L": big_l}, None, _GRID)
+    return ConditionReport("alpha", "holds", {"L": big_l})
 
 
 def _tail_exponent(w: Weight, t_hi: float) -> float:
@@ -264,13 +251,7 @@ def _gauss_legendre(
 def _check_beta(w: Weight) -> ConditionReport:
     beta_hat = _tail_exponent(w, GRID_T_MAX)
     if beta_hat >= 0.99:
-        return ConditionReport(
-            "beta",
-            "inconclusive",
-            {"tail_exponent": beta_hat},
-            None,
-            _GRID,
-        )
+        return ConditionReport("beta", "inconclusive", {"tail_exponent": beta_hat})
     # u = log t turns omega(t)/(1+t^2) dt into omega(e^u)/(2 cosh u) du,
     # exponentially small at both ends; the log-power kink t = 1 is u = 0
     t_lo, t_hi = 1e-16, GRID_T_MAX
@@ -290,8 +271,6 @@ def _check_beta(w: Weight) -> ConditionReport:
         "beta",
         "holds",
         {"integral": t_lo * w(t_lo) + integral + tail, "tail_exponent": beta_hat},
-        None,
-        _GRID,
     )
 
 
@@ -301,16 +280,8 @@ def _check_gamma(w: Weight) -> ConditionReport:
     ratios = [_log1p_sq(t) / w(t) for t in tail]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(ratios, ratios[1:]))
     if monotone and ratios[-1] < 0.01:
-        return ConditionReport(
-            "gamma", "holds", {"final_ratio": ratios[-1]}, None, _GRID
-        )
-    return ConditionReport(
-        "gamma",
-        "fails",
-        {"final_ratio": ratios[-1]},
-        tail[-1],
-        _GRID,
-    )
+        return ConditionReport("gamma", "holds", {"final_ratio": ratios[-1]})
+    return ConditionReport("gamma", "fails", {"final_ratio": ratios[-1]}, tail[-1])
 
 
 def _check_delta(w: Weight) -> ConditionReport:
@@ -321,10 +292,8 @@ def _check_delta(w: Weight) -> ConditionReport:
     for i in range(1, n - 1):
         d2 = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
         if d2 < -1e-9 * (1.0 + abs(vals[i])):
-            return ConditionReport(
-                "delta", "fails", {"second_difference": d2}, math.exp(us[i]), _GRID
-            )
-    return ConditionReport("delta", "holds", {}, None, _GRID)
+            return ConditionReport("delta", "fails", {"second_difference": d2}, math.exp(us[i]))
+    return ConditionReport("delta", "holds")
 
 
 def _check_epsilon(w: Weight) -> ConditionReport:
@@ -345,15 +314,11 @@ def _check_epsilon(w: Weight) -> ConditionReport:
         x = y * math.exp(s_hi)
         b = _tail_exponent(w, x)
         if b >= 1.0:
-            return ConditionReport(
-                "epsilon", "inconclusive", {"tail_exponent": b, "y": y}, None, _GRID
-            )
+            return ConditionReport("epsilon", "inconclusive", {"tail_exponent": b, "y": y})
         ratio = (val + w(x) * math.exp(-s_hi) / (1.0 - b)) / (1.0 + w(y))
         if ratio > sup:
             sup, y_at = ratio, y
-    return ConditionReport(
-        "epsilon", "holds", {"C": SAFETY * sup, "argmax_y": y_at}, None, _GRID
-    )
+    return ConditionReport("epsilon", "holds", {"C": SAFETY * sup, "argmax_y": y_at})
 
 
 _ZETA_CANDIDATES = tuple(range(1, 11)) + tuple(2 ** k for k in range(4, 18))
@@ -371,7 +336,7 @@ def _check_zeta(w: Weight) -> ConditionReport:
                 ok = False
                 break
         if ok:
-            return ConditionReport("zeta", "holds", {"H": float(big_h)}, None, _GRID)
+            return ConditionReport("zeta", "holds", {"H": float(big_h)})
     big_h = _ZETA_CANDIDATES[-1]
     worst_t, worst = None, 0.0
     for t in ts:
@@ -383,7 +348,6 @@ def _check_zeta(w: Weight) -> ConditionReport:
         "fails",
         {"H_max_tried": float(big_h), "violation": worst},
         worst_t,
-        _GRID,
     )
 
 
@@ -397,17 +361,9 @@ def _check_logcond(w: Weight) -> ConditionReport:
     for t in ts:
         ratio = w(t ** gamma) / (1.0 + w(t))
         if ratio > _LOGCOND_CAP:
-            return ConditionReport(
-                "logcond",
-                "fails",
-                {"gamma": gamma, "ratio": ratio},
-                t,
-                _GRID,
-            )
+            return ConditionReport("logcond", "fails", {"gamma": gamma, "ratio": ratio}, t)
         sup = max(sup, ratio)
-    return ConditionReport(
-        "logcond", "holds", {"gamma": gamma, "C": SAFETY * sup}, None, _GRID
-    )
+    return ConditionReport("logcond", "holds", {"gamma": gamma, "C": SAFETY * sup})
 
 
 def _check_subadditive(w: Weight) -> ConditionReport:
@@ -417,14 +373,8 @@ def _check_subadditive(w: Weight) -> ConditionReport:
             lhs = w(min(t1 + t2, 1e307))
             rhs = w(t1) + w(t2)
             if lhs > rhs + 1e-12 * (1.0 + lhs):
-                return ConditionReport(
-                    "subadditive",
-                    "fails",
-                    {"violation": lhs - rhs},
-                    [t1, t2],
-                    _GRID,
-                )
-    return ConditionReport("subadditive", "holds", {}, None, _GRID)
+                return ConditionReport("subadditive", "fails", {"violation": lhs - rhs}, [t1, t2])
+    return ConditionReport("subadditive", "holds")
 
 
 _CHECKS = {
@@ -437,6 +387,7 @@ _CHECKS = {
     "logcond": _check_logcond,
     "subadditive": _check_subadditive,
 }
+CONDITIONS = tuple(_CHECKS)
 
 
 def check_condition(w: Weight, condition: str) -> ConditionReport:

@@ -9,13 +9,13 @@ machine-checkable stand-ins for (m-)topologizability statements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .conjugate import lambda_shift_constants, young_conjugate
+from .conjugate import young_conjugate
 from .errors import (
     DomainError,
     InconclusiveError,
@@ -118,12 +118,6 @@ def classify_growth(
     return GrowthSeries(tuple(pts), cls, rate, w, det)
 
 
-def _reclassify(series: GrowthSeries, classification: str) -> GrowthSeries:
-    return GrowthSeries(
-        series.points, classification, series.rate, series.window, series.details
-    )
-
-
 # --------------------------------------------------------------------------
 # shared helpers
 # --------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def witness_translation(
             "slope_ok": slope <= 1.1 * mu * big_l * big_q,
         }
     )
-    return GrowthSeries(series.points, series.classification, series.rate, series.window, det)
+    return replace(series, details=det)
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +433,7 @@ def witness_repelling(
         },
     )
     if neutral:
-        return _reclassify(series, "inconclusive")
+        return replace(series, classification="inconclusive")
     return series
 
 
@@ -558,8 +552,8 @@ def witness_deg2_topologizable(
 ) -> Deg2Report:
     """M_m = log [p_{sigma,lam}(f o psi_m) / p_{w,mu}(f)] for f = Gaussian.
 
-    mu is fixed once, before the m loop: topologizability is exactly the
-    statement that the source seminorm does not depend on the iterate.
+    mu = 2 lam is fixed once, before the m loop: topologizability is exactly
+    the statement that the source seminorm does not depend on the iterate.
     """
     if a <= 2:
         raise DomainError("this construction needs a > 2")
@@ -569,7 +563,7 @@ def witness_deg2_topologizable(
         raise DomainError("this witness is for deg(psi) >= 2")
     if not check_condition(w, "subadditive").holds:
         raise DomainError("weight must be sub-additive for the deg >= 2 construction")
-    mu = lambda_shift_constants(w, lam).mu
+    mu = 2.0 * lam
     sigma = sigma_transform(w, a)
     f = Gaussian(1.0)
     den = eval_seminorm(f, SeminormSpec("plainp", w, lam=mu))
@@ -603,8 +597,8 @@ def witness_dilation_delta(w: Weight, a: float, delta: float, lam: float, m: int
 
     |a| < 1 is folded onto |a|^(-1) (the symmetry j -> -j of the bound); |a| = 1
     degenerates to the j = 0 term."""
-    if a == 0:
-        raise DomainError("dilation-delta needs a != 0")
+    if a == 0 or not math.isfinite(a):
+        raise DomainError("dilation-delta needs a finite a != 0")
     if not (0 < delta < math.inf and 0 < lam < math.inf) or m < 1:
         raise DomainError("dilation-delta needs finite delta, lam > 0 and m >= 1")
     a_eff = abs(a) if abs(a) >= 1 else 1.0 / abs(a)
@@ -642,8 +636,8 @@ def fourier_scaling_check(f: FunctionModel, b: float) -> FourierReport:
 
     For the Gaussian base the right side is also matched against the closed
     transform sqrt(pi)/scale * exp(-eta^2/(4 scale^2))."""
-    if b == 0:
-        raise DomainError("Fourier scaling needs b != 0")
+    if b == 0 or not math.isfinite(b):
+        raise DomainError("Fourier scaling needs a finite b != 0")
     if not isinstance(f, Gaussian):
         raise DomainError("the quadrature check is wired for the Gaussian model")
     s = f.scale
@@ -672,22 +666,3 @@ def fourier_scaling_check(f: FunctionModel, b: float) -> FourierReport:
     )
     err = float(np.max(np.abs([lhs - rhs, lhs - closed])))
     return FourierReport(b, err, len(ETA_GRID))
-
-
-# --------------------------------------------------------------------------
-# generic iterate series (conjugation-invariance experiments)
-# --------------------------------------------------------------------------
-
-
-def witness_iterates(
-    psi: Polynomial,
-    f: FunctionModel,
-    spec: SeminormSpec,
-    m_max: int,
-) -> GrowthSeries:
-    """Series log p(f o psi_m) for m = 1..m_max, classified."""
-    values = []
-    for m in range(1, m_max + 1):
-        rep = eval_seminorm(Composed(f, iterate(psi, m)), spec, SearchSpec(points=512))
-        values.append((m, rep.log_value))
-    return classify_growth(values, details={"psi": psi.spec()})

@@ -57,6 +57,15 @@ def test_usage_error_exits_2():
         ["witness", "fourier", "--tol", "nan"],
         ["witness", "fourier", "--tol", "0"],
         ["witness", "fourier", "--tol", "-1e-6"],
+        ["witness", "translation", "--weight", "logpower:inf"],
+        ["witness", "deg2", "--a", "inf"],
+        ["witness", "rho", "--weight", "gevrey:inf"],
+        ["conjugate", "--weight", "gevrey:inf", "--x", "1"],
+        ["conjugate", "--weight", "root:inf:gevrey:2", "--x", "1"],
+        ["witness", "delta", "--a", "nan"],
+        ["witness", "delta", "--a", "inf"],
+        ["witness", "fourier", "--b", "nan"],
+        ["witness", "fourier", "--b", "inf"],
     ):
         assert main(argv) == 2, argv
 
@@ -234,9 +243,11 @@ def test_config_bad_value_exits_2(tmp_path):
 
 
 def test_deg2_float_overflow_exits_3(capsys):
-    # the expanded iterates of this cubic leave the float range: their jets
-    # turn NaN at m = 6 (and a coefficient overflows float() at m = 7), which
-    # is a typed limit, not a traceback
+    # the expanded iterates of this cubic leave the float range: at m = 5 their
+    # values overflow at some grid points, where the Gaussian's jets are NaN
+    # and must not read as 0, and their own jets turn NaN at m = 6.  Each is a
+    # typed limit, not a traceback
     argv = ["witness", "deg2", "--weight", "gevrey:2", "--a", "3", "--psi", "1/3,-2,0,1"]
-    assert main(argv + ["--m-max", "7"]) == 3
-    assert "are NaN from order" in capsys.readouterr().err
+    for m_max in ("5", "7"):
+        assert main(argv + ["--m-max", m_max]) == 3
+        assert "are NaN from order" in capsys.readouterr().err

@@ -2,15 +2,13 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdyn.cli import main
-from gsdyn.conjugate import _golden_max, lambda_shift_constants, young_conjugate
+from gsdyn.conjugate import NUMERIC_STEPS, _golden_max, young_conjugate
 from gsdyn.errors import DomainError
-from gsdyn.seminorms import truncation_order
 from gsdyn.weights import Gevrey, LogPower, RootComposed
 
 
@@ -73,26 +71,9 @@ def test_lambda_geometric_gap_d2():
         assert gap == pytest.approx(2.0 * n * math.log(2.0), rel=1e-12)
 
 
-def test_shift_constants_gevrey():
-    sc = lambda_shift_constants(Gevrey(2.0), 1.0)
-    assert sc.mu == 2.0
-    assert sc.A == 4.0
-    assert sc.D == pytest.approx(1.0, abs=1e-9)
-
-
-def test_truncation_order_values():
-    w = Gevrey(2.0)
-    assert truncation_order(w, 1.0, 1.0, 1e-12) == 20
-    sc = lambda_shift_constants(w, 1.0)
-    loose = type(sc)(sc.mu, 2.0, 10.0, sc.n_checked)
-    assert truncation_order(w, 1.0, 1.0, 1e-6, constants=loose) == 24
-
-
 def test_invalid_inputs():
     with pytest.raises(DomainError):
         young_conjugate(Gevrey(2.0), -1.0)
-    with pytest.raises(DomainError):
-        lambda_shift_constants(Gevrey(2.0), 0.0)
 
 
 def test_golden_max_step_rule():
@@ -103,21 +84,9 @@ def test_golden_max_step_rule():
         calls.append(x)
         return -((x - 0.3) ** 2)
 
-    x = _golden_max(f, 0.0, 1.0, steps=10)
-    assert len(calls) == 12  # two interior probes, then one per step
-    assert abs(x - 0.3) <= 0.5 * ((math.sqrt(5.0) - 1.0) / 2.0) ** 10
-    # an array of brackets gives, lane by lane, the floats of each bracket run alone
-    peaks = np.array([0.3, -2.0, 7.5, 1e-3, 40.0])
-    lo = np.array([0.0, -5.0, 7.0, 0.0, 1.0])
-    hi = np.array([1.0, 3.0, 9.5, 1e-2, 100.0])
-
-    def all_lanes(x):
-        return -np.abs(x - peaks) ** 1.5
-
-    together = _golden_max(all_lanes, lo, hi, 90)
-    for k in range(len(peaks)):
-        alone = _golden_max(lambda x: -abs(x - peaks[k]) ** 1.5, lo[k], hi[k], 90)
-        assert float(alone) == float(together[k]), k
+    x = _golden_max(f, 0.0, 1.0)
+    assert len(calls) == NUMERIC_STEPS + 2  # two interior probes, then one per step
+    assert abs(x - 0.3) <= 0.5 * ((math.sqrt(5.0) - 1.0) / 2.0) ** NUMERIC_STEPS
 
 
 _X = st.floats(min_value=0.0, max_value=200.0)

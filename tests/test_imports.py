@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-package runs on numpy alone."""
+"""Every name a package module imports is used in that module, every
+function, class and method the package defines is used by the package, and
+the package runs on numpy alone."""
 
 import ast
 import os
@@ -36,6 +37,62 @@ def test_package_has_no_unused_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+# Definitions no package code references, each kept for a stated reason.
+USED_OUTSIDE = {
+    "jets.compose_jet_partitions": "the independent oracle the jet tests compare against",
+    "jets.faa_di_bruno_identity_sum": "the identity an acceptance criterion checks",
+    "seminorms.SeminormSpec.describe": "called by perfbench/workloads.py",
+}
+
+
+def unreferenced_definitions(sources):
+    """The top-level functions and classes, and the methods of top-level
+    classes, of `sources` (module name -> source) whose name no code in
+    `sources` uses outside the definition's own body.  Dunder methods are
+    called implicitly and are not checked."""
+    defined, refs = [], {}
+
+    def visit(module, node, owners):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                qual = owners + (child.name,)
+                top = not owners or (len(owners) == 1 and isinstance(node, ast.ClassDef))
+                if top and not (child.name.startswith("__") and child.name.endswith("__")):
+                    defined.append((module, qual))
+                visit(module, child, qual)
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)):
+                name = child.id if isinstance(child, ast.Name) else child.attr
+                refs.setdefault(name, []).append((module, owners))
+            visit(module, child, owners)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), ())
+    return sorted(
+        ".".join((module,) + qual)
+        for module, qual in defined
+        if all(m == module and owners[: len(qual)] == qual for m, owners in refs.get(qual[-1], []))
+    )
+
+
+def test_checker_flags_an_unreferenced_definition():
+    src = (
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class A:\n    def __init__(self):\n        self.x = used()\n\n"
+        "    def helper(self):\n        return 0\n\n"
+        "    def entry(self):\n        return self.helper()\n"
+    )
+    assert unreferenced_definitions({"mod": src}) == ["mod.A", "mod.A.entry", "mod.recursive"]
+    user = "import mod\nmod.A().entry()\n"
+    assert unreferenced_definitions({"mod": src, "user": user}) == ["mod.recursive"]
+
+
+def test_package_code_uses_every_definition():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_definitions(sources) == sorted(USED_OUTSIDE)
 
 
 def imported_roots(source: str):

@@ -168,7 +168,7 @@ def test_composed_grid_matches_compose_jet():
     for i, x in enumerate(xs):
         inner = jet_of_polynomial(poly, Fraction(x).limit_denominator(10 ** 12), 12)
         outer = Gaussian(1.0).jet(float(poly(float(x))), 12)
-        psi = Jet.from_floats(float(x), [inner.value(n) for n in range(13)])
+        psi = Jet.from_slogs(float(x), [inner.entry(n) for n in range(13)])
         ref = compose_jet_partitions(outer, psi, 12)
         for n in range(13):
             s, l = ref.entry(n)

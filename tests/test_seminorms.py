@@ -15,7 +15,6 @@ from gsdyn.seminorms import (
     attainment_matrix,
     default_radius,
     eval_seminorm,
-    truncation_order,
 )
 from gsdyn.weights import Gevrey, LogPower
 
@@ -139,8 +138,6 @@ def test_fixed_radius_boundary_is_inconclusive():
         eval_seminorm(shifted, spec, SearchSpec(radius=0.5))
 
 
-def test_truncation_order_monotone_in_eps():
-    assert truncation_order(G2, 1.0, 1.0, 1e-12) > truncation_order(G2, 1.0, 1.0, 1e-3)
 
 
 @given(st.floats(min_value=0.5, max_value=4.0))
@@ -328,7 +325,9 @@ def test_unrefined_matrix_equals_per_cell_loop(model, family):
 
 def test_nan_jets_are_a_resource_limit():
     # the expanded iterate x^81 overflows the t-rescaling near |x| = 1e-5 at
-    # order 16: the search refuses it instead of ranking a NaN cell
+    # order 16, and the Gaussian's Hermite recurrence at x^81 past |x| = 5.8
+    # turns NaN, which poisons every order at those points: the search
+    # refuses it instead of ranking a NaN cell
     from gsdyn.errors import ResourceLimitError
     from gsdyn.jets import Composed
     from gsdyn.polynomials import Polynomial, iterate
@@ -336,4 +335,4 @@ def test_nan_jets_are_a_resource_limit():
     model = Composed(Gaussian(1.0), iterate(Polynomial.of([0, 0, 0, 1]), 4))
     with np.errstate(all="ignore"), pytest.raises(ResourceLimitError) as err:
         eval_seminorm(model, SeminormSpec("plainp", G2))
-    assert "order 16" in str(err.value) and str(err.value).endswith("1:gauss:1 are NaN from order 16 on this grid")
+    assert str(err.value).endswith("1:gauss:1 are NaN from order 0 on this grid")

@@ -5,8 +5,8 @@ import pytest
 
 from gsdyn.errors import DomainError, ResourceLimitError
 from gsdyn.jets import Gaussian, parse_model
-from gsdyn.polynomials import AffineMap, Polynomial, conjugate_by
-from gsdyn.seminorms import SearchSpec, SeminormSpec, eval_seminorm
+from gsdyn.polynomials import Polynomial
+from gsdyn.seminorms import SeminormSpec, eval_seminorm
 from gsdyn.weights import Gevrey, LogPower, parse_weight
 from gsdyn.witnesses import (
     classify_growth,
@@ -18,7 +18,6 @@ from gsdyn.witnesses import (
     witness_deg2_topologizable,
     witness_dilation_blowup,
     witness_dilation_delta,
-    witness_iterates,
     witness_repelling,
     witness_square,
     witness_translation,
@@ -253,13 +252,3 @@ def test_deg2_topologizable_finite():
     assert len(rep.rows) == 3
     with pytest.raises(DomainError):
         witness_deg2_topologizable(G2, 2.0, X2, 1.0, 3)
-
-
-def test_iterates_conjugation_invariant_verdict():
-    # the verdict of the iterate series survives an affine conjugation
-    psi = Polynomial.parse("0,2")  # 2x
-    ell = AffineMap.of(3, 1)
-    spec = SeminormSpec("plainp", G2, lam=2.0)
-    a = witness_iterates(psi, Gaussian(1.0), spec, 5)
-    b = witness_iterates(conjugate_by(psi, ell), Gaussian(1.0), spec, 5)
-    assert a.classification == b.classification
