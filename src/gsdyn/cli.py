@@ -33,7 +33,7 @@ from .polynomials import (
     iterate,
     normal_form_degree1,
 )
-from .seminorms import SearchSpec, SeminormSpec, eval_seminorm
+from .seminorms import FAMILIES, FAMILY_PARAMS, SearchSpec, SeminormSpec, eval_seminorm
 from .weights import CONDITIONS, check_all_conditions, check_condition, parse_weight
 from .witnesses import (
     fourier_scaling_check,
@@ -251,6 +251,11 @@ def _run_witness(name: str, params: dict) -> Tuple[dict, str]:
 # --------------------------------------------------------------------------
 
 
+def _given(args, keys) -> dict:
+    """The flags among keys that are set, on the command line or by --config."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
 def _cmd_conjugate(args) -> int:
     w = parse_weight(args.weight)
     val = young_conjugate(w, args.x, method=args.method)
@@ -287,19 +292,19 @@ def _cmd_weight_check(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
-    spec_kwargs = {"weight": parse_weight(args.weight) if args.weight else None}
-    for key in ("lam", "mu", "s"):
-        if getattr(args, key) is not None:
-            spec_kwargs[key] = getattr(args, key)
-    spec = SeminormSpec(args.family, **spec_kwargs)
-    kwargs = {}
-    if args.points is not None:
-        kwargs["points"] = args.points
-    if args.radius is not None:
-        kwargs["radius"] = args.radius
-    if args.m is not None:
-        kwargs["m"] = args.m
-    rep = eval_seminorm(parse_model(args.model), spec, SearchSpec(**kwargs))
+    given = _given(args, ("weight", "lam", "mu", "s"))
+    takes = FAMILY_PARAMS[args.family]
+    foreign = sorted(set(given) - set(takes))
+    if foreign:
+        raise ConfigurationError(
+            "seminorm family %s does not take %s (it takes %s)"
+            % (args.family, ", ".join(foreign), ", ".join(takes))
+        )
+    if "weight" in given:
+        given["weight"] = parse_weight(args.weight)
+    spec = SeminormSpec(args.family, **given)
+    search = _given(args, ("points", "radius", "m"))
+    rep = eval_seminorm(parse_model(args.model), spec, SearchSpec(**search))
     report = {
         "command": "seminorm",
         "config": {
@@ -367,7 +372,7 @@ def _witness_keys() -> Dict[str, List[Tuple[str, Param]]]:
 
 
 def _cmd_witness(args) -> int:
-    params = {key: getattr(args, key) for key in _witness_keys() if getattr(args, key) is not None}
+    params = _given(args, _witness_keys())
     payload, verdict = _run_witness(args.name, params)
     report = {
         "command": "witness",
@@ -477,11 +482,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=CONDITIONS, default=None)
     p.set_defaults(func=_cmd_weight_check)
 
-    p = sub.add_parser("seminorm", parents=[common], help="seminorm evaluation")
+    p = sub.add_parser("seminorm", parents=[common], help="seminorm evaluation", description=(
+        "Each family takes only its own parameter flags; any other exits 2. "
+        + "; ".join("%s: --%s" % (f, " --".join(keys)) for f, keys in FAMILY_PARAMS.items())))
     p.add_argument("--model", required=True)
-    p.add_argument(
-        "--family", choices=("plainp", "globalp", "expq", "gevreyseq"), default="plainp"
-    )
+    p.add_argument("--family", choices=FAMILIES, default="plainp")
     p.add_argument("--weight", default=None)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)

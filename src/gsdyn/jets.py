@@ -265,26 +265,28 @@ def _gaussian_grid(scale: float, xs: np.ndarray, order: int) -> Tuple[np.ndarray
     n_pts = xs.shape[0]
     signs = np.zeros((order + 1, n_pts), dtype=np.int8)
     logs = np.full((order + 1, n_pts), ls.NEG_INF)
-    base = -u * u
-    log_scale = math.log(scale)
-    signs[0] = 1
-    logs[0] = base
-    if order == 0:
-        return signs, logs
-    h_prev = np.ones(n_pts)
-    h = 2.0 * u
-    off = np.zeros(n_pts)
-    for n in range(1, order + 1):
-        nz = h != 0.0
-        signs[n, nz] = (np.sign(h[nz]) * (-1) ** n).astype(np.int8)
-        with np.errstate(divide="ignore"):
+    # an inner value past the double range makes these rows inf or NaN;
+    # seminorms._jets refuses NaN jets with a typed error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        base = -u * u
+        log_scale = math.log(scale)
+        signs[0] = 1
+        logs[0] = base
+        if order == 0:
+            return signs, logs
+        h_prev = np.ones(n_pts)
+        h = 2.0 * u
+        off = np.zeros(n_pts)
+        for n in range(1, order + 1):
+            nz = h != 0.0
+            signs[n, nz] = (np.sign(h[nz]) * (-1) ** n).astype(np.int8)
             logs[n, nz] = n * log_scale + np.log(np.abs(h[nz])) + off[nz] + base[nz]
-        h_prev, h = h, 2.0 * u * h - 2.0 * n * h_prev
-        big = np.abs(h) > _RENORM
-        if big.any():
-            h[big] /= _RENORM
-            h_prev[big] /= _RENORM
-            off[big] += _LOG_RENORM
+            h_prev, h = h, 2.0 * u * h - 2.0 * n * h_prev
+            big = np.abs(h) > _RENORM
+            if big.any():
+                h[big] /= _RENORM
+                h_prev[big] /= _RENORM
+                off[big] += _LOG_RENORM
     return signs, logs
 
 
@@ -452,7 +454,8 @@ class Composed(FunctionModel):
         tau_log = np.where(np.isfinite(tau_log), tau_log, 0.0)
         btil = p_rows * np.exp(np.arange(order + 1)[:, None] * tau_log[None, :])
         acc = np.array(_compose_series(f_t, btil, order))
-        out_signs = np.sign(acc).astype(np.int8)
+        with np.errstate(invalid="ignore"):  # NaN rows: seminorms._jets refuses them
+            out_signs = np.sign(acc).astype(np.int8)
         out_logs = np.full((order + 1, n_pts), ls.NEG_INF)
         nz = acc != 0.0
         logn = np.where(nz, np.log(np.abs(np.where(nz, acc, 1.0))), ls.NEG_INF)

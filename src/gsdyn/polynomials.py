@@ -236,21 +236,14 @@ class AllPointsFixed:
 def _poly_divmod(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(1, a.degree - b.degree + 1)
+    n, bl = b.degree, b.coeffs[-1]
+    q = [_ZERO] * max(1, a.degree - n + 1)
     r = list(a.coeffs)
-    bl = b.coeffs[-1]
-    while len(r) - 1 >= b.degree and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < b.degree:
-            break
-        k = len(r) - 1 - b.degree
-        f = r[-1] / bl
-        q[k] = f
+    for k in range(a.degree - n, -1, -1):
+        q[k] = f = r[k + n] / bl
         for i, c in enumerate(b.coeffs):
             r[k + i] -= f * c
-        r.pop()
-    return Polynomial.of(q), Polynomial.of(r)
+    return Polynomial.of(q), Polynomial.of(r[:n])
 
 
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -279,30 +272,24 @@ def _variations(chain: Sequence[Polynomial], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
 def _cauchy_bound(p: Polynomial) -> Fraction:
     lead = abs(p.coeffs[-1])
     return 1 + max(abs(c) for c in p.coeffs) / lead
 
 
 def _isolate_roots(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint intervals (lo, hi], one simple root each; p must be square-free."""
+    """Disjoint intervals (lo, hi], one simple root each; p must be square-free.
+
+    Every root lies strictly inside the Cauchy bound, so neither starting end
+    is a root.  The stack holds (a, V(a), b, V(b)) with V the Sturm sign
+    variations, so the chain is evaluated once per point."""
     chain = _sturm_chain(p)
     bound = _cauchy_bound(p)
-    lo, hi = -bound, bound
-    # nudge endpoints off roots
-    while p(lo) == 0:
-        lo -= 1
-    while p(hi) == 0:
-        hi += 1
     out: List[Tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi)]
+    stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
     while stack:
-        a, b = stack.pop()
-        n = _count_roots(chain, a, b)
+        a, va, b, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1:
@@ -312,14 +299,19 @@ def _isolate_roots(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
         if p(mid) == 0:
             # exact root at the probe: wall it off with a tiny gap
             gap = (b - a) / 2 ** 24
-            while _count_roots(chain, mid - gap, mid + gap) != 1:
+            while True:
+                lo, hi = mid - gap, mid + gap
+                vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+                if vlo - vhi == 1:
+                    break
                 gap /= 2
-            out.append((mid - gap, mid + gap))
-            stack.append((a, mid - gap))
-            stack.append((mid + gap, b))
+            out.append((lo, hi))
+            stack.append((a, va, lo, vlo))
+            stack.append((hi, vhi, b, vb))
         else:
-            stack.append((a, mid))
-            stack.append((mid, b))
+            vm = _variations(chain, mid)
+            stack.append((a, va, mid, vm))
+            stack.append((mid, vm, b, vb))
     out.sort(key=lambda iv: iv[0])
     return out
 
@@ -327,7 +319,7 @@ def _isolate_roots(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
 def _refine(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
     """Bisect the sign change in (lo, hi] down to the requested width."""
     flo = p(lo)
-    if flo == 0:  # endpoint nudge in _isolate_roots prevents this
+    if flo == 0:  # lo is -bound, a probe that is not a root, or a wall-off end
         raise VerificationError("refinement interval endpoint is a root")
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -365,11 +357,7 @@ def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
     out: List[FixedPoint] = []
     for lo, hi in _isolate_roots(r_sf):
         lo, hi = _refine(r_sf, lo, hi, Fraction(1, 10 ** 13))
-        exact_root: Optional[Fraction] = None
-        if lo == hi:
-            exact_root = lo
-        else:
-            exact_root = _snap_rational(r_sf, lo, hi)
+        exact_root = lo if lo == hi else _snap_rational(r_sf, lo, hi)
         if exact_root is not None:
             mult = abs(dpsi(exact_root))
             kind = "repelling" if mult > 1 else ("neutral" if mult == 1 else "attracting")

@@ -37,7 +37,10 @@ EPS_TAIL = 1e-12  # the ring next to the cut must stay below EPS_TAIL x best
 REFINE_ROUNDS = 64  # probe rounds per refinement at most; bisection alone reaches ulps in ~50
 REFINE_TOP = 6  # cells refined after the grid search
 
-FAMILIES = ("plainp", "globalp", "expq", "gevreyseq")
+# the parameters each family reads (see SeminormSpec); the CLI refuses any other
+FAMILY_PARAMS = {"plainp": ("weight", "lam"), "globalp": ("weight", "lam"),
+                 "expq": ("weight", "lam", "mu"), "gevreyseq": ("mu", "s")}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)

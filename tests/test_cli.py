@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from gsdyn.cli import main
+from gsdyn.seminorms import FAMILY_PARAMS
 
 
 def run_cli(*args, config=None):
@@ -24,7 +25,7 @@ def test_conjugate_json(tmp_path):
     assert abs(payload["check"]["gap"]) <= 1e-8
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(tmp_path):
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("conjugate", "--weight", "gevrey:2").returncode == 2  # missing --x
     # malformed literals and out-of-range search values, in process
@@ -66,8 +67,29 @@ def test_usage_error_exits_2():
         ["witness", "delta", "--a", "inf"],
         ["witness", "fourier", "--b", "nan"],
         ["witness", "fourier", "--b", "inf"],
+        # a seminorm parameter the family does not read
+        seminorm + ["gauss:1", "--mu", "5"],
+        seminorm + ["gauss:1", "--family", "globalp", "--mu", "5"],
+        seminorm + ["gauss:1", "--family", "plainp", "--s", "2"],
+        seminorm + ["gauss:1", "--family", "expq", "--s", "2"],
+        seminorm + ["gauss:1", "--family", "gevreyseq"],
+        ["seminorm", "--model", "gauss:1", "--family", "gevreyseq", "--lam", "1"],
     ):
         assert main(argv) == 2, argv
+    cfg = tmp_path / "mu.json"
+    cfg.write_text(json.dumps({"mu": 5}))
+    assert main(seminorm + ["gauss:1", "--config", str(cfg)]) == 2
+
+
+def test_seminorm_takes_each_family_flag(capsys):
+    own = {"weight": "gevrey:2", "lam": 2.0, "mu": 2.0, "s": 1.5}
+    for family, keys in FAMILY_PARAMS.items():
+        argv = ["--format", "json", "seminorm", "--model", "gauss:1", "--points", "257"]
+        for key in ("family",) + keys:
+            argv += ["--" + key, str(own.get(key, family))]
+        assert main(argv) == 0, argv
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert all(config[key] == own[key] for key in keys)
 
 
 def test_logpower_overflow_exits_3(capsys):
@@ -250,4 +272,6 @@ def test_deg2_float_overflow_exits_3(capsys):
     argv = ["witness", "deg2", "--weight", "gevrey:2", "--a", "3", "--psi", "1/3,-2,0,1"]
     for m_max in ("5", "7"):
         assert main(argv + ["--m-max", m_max]) == 3
-        assert "are NaN from order" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive:") and err.count("\n") == 1
+        assert "are NaN from order" in err

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsdyn import polynomials
 from gsdyn.errors import DomainError, ResourceLimitError
 from gsdyn.polynomials import (
     AffineMap,
     AllPointsFixed,
+    FixedPoint,
     Polynomial,
+    _poly_divmod,
     conjugate_by,
     fixed_points,
     iterate,
@@ -86,6 +89,87 @@ def test_fixed_points_neutral_and_empty():
 
 def test_fixed_points_identity():
     assert isinstance(fixed_points(Polynomial.x()), AllPointsFixed)
+
+
+def _fp(location, multiplier, kind):
+    """A FixedPoint from a rational string (exact) or a pair of them (an interval)."""
+    if isinstance(location, str):
+        return FixedPoint(Fraction(location), multiplier, kind, True)
+    return FixedPoint(tuple(map(Fraction, location)), multiplier, kind, False)
+
+
+# a benchmark quadratic: multiplier -3/2 at 6/5, an attracting 4-cycle
+SLOT = "111/25,-39/10,1"
+
+# (psi, m) -> fixed_points(psi^m), every interval and multiplier as recorded
+FIXED_POINT_PINS = {
+    # 0 is the first probe and a root: the wall-off path
+    ("0,0,1", 1): [_fp("0", 0.0, "attracting"), _fp("1", 2.0, "repelling")],
+    # 1/3 is not dyadic: snapped after refinement
+    ("0,0,3", 1): [_fp("0", 0.0, "attracting"), _fp("1/3", 2.0, "repelling")],
+    ("-2,1,1", 1): [
+        _fp(("-24879108095805/17592186044416", "-49758216191607/35184372088832"),
+            1.8284271247462414, "repelling"),
+        _fp(("49758216191607/35184372088832", "24879108095805/17592186044416"),
+            3.8284271247462414, "repelling"),
+    ],
+    # a double root of psi(x) - x, isolated on the square-free part
+    ("1/4,0,1", 1): [_fp("1/2", 1.0, "neutral")],
+    (SLOT, 4): [
+        _fp(("1469997002334601728807720043/2305843009213693952000000000",
+             "14699970023348151324363674379/23058430092136939520000000000"),
+            0.03049997597305946, "attracting"),
+        _fp("7/10", 1.5625, "repelling"),
+        _fp(("18578350684422590689985109467/23058430092136939520000000000",
+             "2322293835553090590783947927/2882303761517117440000000000"),
+            0.03049997597417606, "attracting"),
+        _fp("6/5", 5.0625, "repelling"),
+        _fp(("22446289462109939626401684197/11529215046068469760000000000",
+             "44892578924222013289089842343/23058430092136939520000000000"),
+            0.030499975974102457, "attracting"),
+        _fp("11/5", 1.5625, "repelling"),
+        _fp(("54420918195285158091694152891/23058430092136939520000000000",
+             "1360522954882182303199515671/576460752303423488000000000"),
+            0.030499975974484454, "attracting"),
+        _fp("37/10", 150.0625, "repelling"),
+    ],
+    (SLOT, 5): [_fp("6/5", 7.59375, "repelling"), _fp("37/10", 525.21875, "repelling")],
+}
+
+
+@pytest.mark.parametrize("spec, m", list(FIXED_POINT_PINS))
+def test_fixed_points_pinned(spec, m):
+    assert fixed_points(iterate(Polynomial.parse(spec), m)) == FIXED_POINT_PINS[spec, m]
+
+
+@pytest.mark.parametrize("spec, m", [("0,0,1", 1), ("1/4,0,1", 1), (SLOT, 4)])
+def test_sturm_chain_evaluated_once_per_point(monkeypatch, spec, m):
+    seen = []
+    variations = polynomials._variations
+
+    def counted(chain, x):
+        seen.append((id(chain), x))
+        return variations(chain, x)
+
+    monkeypatch.setattr(polynomials, "_variations", counted)
+    fixed_points(iterate(Polynomial.parse(spec), m))
+    assert seen and len(seen) == len(set(seen))
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(st.lists(rationals, max_size=8), st.lists(rationals, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_poly_divmod_identity(a_coeffs, b_coeffs):
+    a, b = Polynomial.of(a_coeffs), Polynomial.of(b_coeffs)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            _poly_divmod(a, b)
+        return
+    q, r = _poly_divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero() or r.degree < b.degree
 
 
 def test_normal_form_dilation():
