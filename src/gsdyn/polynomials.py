@@ -1,13 +1,17 @@
 """Exact univariate polynomials: iteration, fixed points, affine normal forms.
 
-Coefficients are Fractions throughout.  Fixed-point classification is the
-hypothesis of the growth theorems, so root isolation is done with exact
+A Polynomial's coefficients are Fractions.  Fixed-point classification is
+the hypothesis of the growth theorems, so root isolation is done with exact
 sign counts (Sturm chains) and rational bisection; no floating root finder
-is involved.  x^2 + 1/4 and x^2 + 0.2500001 must land on different sides.
+is involved.  Isolation reads only signs, so it runs on integer primitive
+forms: Sturm chains by primitive pseudo-remainders, and signs at rational
+points by homogeneous Horner over ints.  x^2 + 1/4 and x^2 + 0.2500001 must
+land on different sides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -66,9 +70,10 @@ class Polynomial:
         return self.coeffs == (_ZERO,)
 
     def __call__(self, x):
-        acc = self.coeffs[-1] if isinstance(x, Fraction) else float(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+        cs = self.coeffs if isinstance(x, Fraction) else [float(c) for c in self.coeffs]
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * x + c
         return acc
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -233,57 +238,100 @@ class AllPointsFixed:
         return isinstance(other, AllPointsFixed)
 
 
-def _poly_divmod(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
-    if b.is_zero():
+# Integer forms: ascending lists of Python ints, [] for the zero polynomial.
+# An integer form stands for a positive rational multiple of the polynomial
+# it came from, so it has the same sign everywhere.
+
+
+def _primitive(a: List[int]) -> List[int]:
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _int_form(p: Polynomial) -> List[int]:
+    """p times a positive rational: coprime integer coefficients."""
+    if p.is_zero():
+        return []
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _trim(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _prem(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+    """(q, r) with lc(b)^e a = q b + r, deg r < deg b, e = max(deg a - deg b + 1, 0)."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    n, bl = b.degree, b.coeffs[-1]
-    q = [_ZERO] * max(1, a.degree - n + 1)
-    r = list(a.coeffs)
-    for k in range(a.degree - n, -1, -1):
-        q[k] = f = r[k + n] / bl
-        for i, c in enumerate(b.coeffs):
-            r[k + i] -= f * c
-    return Polynomial.of(q), Polynomial.of(r[:n])
+    n, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - n, 0)
+    r = list(a)
+    for k in range(len(a) - 1 - n, -1, -1):
+        f = r.pop()
+        q[k] = f * lb ** k  # each of the k steps still to come scales q by lb
+        r = [lb * c for c in r]
+        for i in range(n):
+            r[k + i] -= f * b[i]
+    return _trim(q), _trim(r)
 
 
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
+def _sturm_chain(a: List[int], b: List[int]) -> List[List[int]]:
+    """a, b, then -rem of the last two, each made primitive, until the
+    remainder is zero: a Sturm chain when b = a', and the last entry is
+    gcd(a, b) up to a constant factor."""
+    chain = [a, b]
+    while True:
+        e = max(len(chain[-2]) - len(chain[-1]) + 1, 0)
+        _, r = _prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        # -rem(a, b) is -r / lc(b)^e: negate, and flip back when lc(b)^e < 0
+        negate = chain[-1][-1] > 0 or e % 2 == 0
+        chain.append(_primitive([-c for c in r] if negate else r))
+
+
+def _derivative(a: List[int]) -> List[int]:
+    return _primitive([i * c for i, c in enumerate(a)][1:])
+
+
+def _square_free(a: List[int]) -> List[int]:
+    """A positive multiple of a / gcd(a, a') for a of degree >= 1."""
+    g = _sturm_chain(a, _derivative(a))[-1]
+    if len(g) == 1:
         return a
-    return a.scale(1 / a.coeffs[-1])  # monic
+    q = _primitive(_prem(a, g)[0])
+    return q if (q[-1] > 0) == (a[-1] > 0) else [-c for c in q]
 
 
-def _sturm_chain(p: Polynomial) -> List[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append(r.scale(-1))
-    return chain[:-1]
+def _sign_at(a: Sequence[int], x: Fraction) -> int:
+    """The sign of a(x), from d^deg(a) a(n/d) for x = n/d by homogeneous Horner."""
+    n, d = x.numerator, x.denominator
+    acc, dk = a[-1], 1
+    for c in reversed(a[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: Sequence[Polynomial], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _variations(chain: Sequence[List[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _cauchy_bound(p: Polynomial) -> Fraction:
-    lead = abs(p.coeffs[-1])
-    return 1 + max(abs(c) for c in p.coeffs) / lead
+def _cauchy_bound(a: List[int]) -> Fraction:
+    return 1 + Fraction(max(abs(c) for c in a), abs(a[-1]))
 
 
-def _isolate_roots(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
+def _isolate_roots(p: List[int]) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint intervals (lo, hi], one simple root each; p must be square-free.
 
     Every root lies strictly inside the Cauchy bound, so neither starting end
     is a root.  The stack holds (a, V(a), b, V(b)) with V the Sturm sign
     variations, so the chain is evaluated once per point."""
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(p, _derivative(p))
     bound = _cauchy_bound(p)
     out: List[Tuple[Fraction, Fraction]] = []
     stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
@@ -296,7 +344,7 @@ def _isolate_roots(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if p(mid) == 0:
+        if _sign_at(p, mid) == 0:
             # exact root at the probe: wall it off with a tiny gap
             gap = (b - a) / 2 ** 24
             while True:
@@ -316,30 +364,55 @@ def _isolate_roots(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
     return out
 
 
-def _refine(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
+def _refine(p: List[int], lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
     """Bisect the sign change in (lo, hi] down to the requested width."""
-    flo = p(lo)
-    if flo == 0:  # lo is -bound, a probe that is not a root, or a wall-off end
+    slo = _sign_at(p, lo)
+    if slo == 0:  # lo is -bound, a probe that is not a root, or a wall-off end
         raise VerificationError("refinement interval endpoint is a root")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fm = p(mid)
-        if fm == 0:
+        sm = _sign_at(p, mid)
+        if sm == 0:
             return (mid, mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if sm == slo:
+            lo = mid
         else:
             hi = mid
     return (lo, hi)
 
 
-def _snap_rational(p: Polynomial, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+def _snap_rational(p: List[int], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     mid = (lo + hi) / 2
     for den_cap in (1, 10, 10 ** 3, 10 ** 6, 10 ** 9):
         cand = Fraction(float(mid)).limit_denominator(den_cap)
-        if lo < cand <= hi and p(cand) == 0:
+        if lo < cand <= hi and _sign_at(p, cand) == 0:
             return cand
     return None
+
+
+def _kind_near_one(
+    r_sf: List[int], dpsi: Polynomial, lo: Fraction, hi: Fraction
+) -> Tuple[str, Fraction, Fraction]:
+    """The exact kind of the root of r_sf in (lo, hi], where |psi'| is too
+    close to 1 for a float, and the interval it was read on.
+
+    |psi'| - 1 has the sign of s = psi'^2 - 1.  The root is neutral iff
+    gcd(r_sf, s) vanishes in (lo, hi]; that gcd divides r_sf, so it is
+    square-free and changes sign there.  Otherwise bisect until s has no root
+    in [lo, hi] and read its sign at lo."""
+    s = _int_form(dpsi * dpsi - Polynomial.of([1]))
+    if not s:  # |psi'| = 1 everywhere
+        return "neutral", lo, hi
+    if len(s) == 1:
+        return ("repelling" if s[0] > 0 else "attracting"), lo, hi
+    g = _sturm_chain(r_sf, s)[-1]
+    if len(g) > 1 and _sign_at(g, lo) != _sign_at(g, hi):
+        return "neutral", lo, hi
+    s_sf = _square_free(s)
+    s_chain = _sturm_chain(s_sf, _derivative(s_sf))
+    while _sign_at(s, lo) == 0 or _variations(s_chain, lo) != _variations(s_chain, hi):
+        lo, hi = _refine(r_sf, lo, hi, (hi - lo) / 2)
+    return ("repelling" if _sign_at(s, lo) > 0 else "attracting"), lo, hi
 
 
 def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
@@ -351,8 +424,7 @@ def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
         return AllPointsFixed()
     if r.degree == 0:
         return []
-    g = _poly_gcd(r, r.derivative())
-    r_sf = _poly_divmod(r, g)[0] if g.degree >= 1 else r
+    r_sf = _square_free(_int_form(r))
     dpsi = psi.derivative()
     out: List[FixedPoint] = []
     for lo, hi in _isolate_roots(r_sf):
@@ -363,20 +435,13 @@ def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
             kind = "repelling" if mult > 1 else ("neutral" if mult == 1 else "attracting")
             out.append(FixedPoint(exact_root, float(mult), kind, True))
             continue
-        # irrational root: classify at the midpoint, refining while ambiguous
-        width = Fraction(1, 10 ** 13)
-        while True:
-            mid = (lo + hi) / 2
-            mult = abs(float(dpsi(mid)))
-            if abs(mult - 1.0) > 1e-9 or width < Fraction(1, 10 ** 16):
-                break
-            width /= 2 ** 8
-            lo, hi = _refine(r_sf, lo, hi, width)
-        kind = (
-            "repelling"
-            if mult > 1 + 1e-9
-            else ("attracting" if mult < 1 - 1e-9 else "neutral")
-        )
+        # irrational root: classify at the midpoint, exactly when the float is ambiguous
+        mult = abs(float(dpsi((lo + hi) / 2)))
+        if abs(mult - 1.0) > 1e-9:
+            kind = "repelling" if mult > 1 else "attracting"
+        else:
+            kind, lo, hi = _kind_near_one(r_sf, dpsi, lo, hi)
+            mult = 1.0 if kind == "neutral" else abs(float(dpsi((lo + hi) / 2)))
         out.append(FixedPoint((lo, hi), mult, kind, False))
     out.sort(key=lambda fp: fp.value)
     return out

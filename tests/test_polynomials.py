@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gsdyn import polynomials
@@ -12,7 +12,12 @@ from gsdyn.polynomials import (
     AllPointsFixed,
     FixedPoint,
     Polynomial,
-    _poly_divmod,
+    _derivative,
+    _int_form,
+    _prem,
+    _sign_at,
+    _sturm_chain,
+    _trim,
     conjugate_by,
     fixed_points,
     iterate,
@@ -157,19 +162,143 @@ def test_sturm_chain_evaluated_once_per_point(monkeypatch, spec, m):
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+ints = st.integers(min_value=-60, max_value=60)
 
 
-@given(st.lists(rationals, max_size=8), st.lists(rationals, min_size=1, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_poly_divmod_identity(a_coeffs, b_coeffs):
-    a, b = Polynomial.of(a_coeffs), Polynomial.of(b_coeffs)
-    if b.is_zero():
+@given(st.lists(ints, max_size=9), st.lists(ints, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_prem_identity(a, b):
+    a, b = _trim(a), _trim(b)
+    if not b:
         with pytest.raises(ZeroDivisionError):
-            _poly_divmod(a, b)
+            _prem(a, b)
         return
-    q, r = _poly_divmod(a, b)
-    assert q * b + r == a
-    assert r.is_zero() or r.degree < b.degree
+    q, r = _prem(a, b)
+    e = max(len(a) - len(b) + 1, 0)
+    lhs = Polynomial.of(a).scale(b[-1] ** e)
+    assert Polynomial.of(q) * Polynomial.of(b) + Polynomial.of(r) == lhs
+    assert len(r) < len(b)
+
+
+@given(
+    st.lists(rationals, min_size=1, max_size=8),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_sign_at_matches_fraction_horner(coeffs, x, vanish):
+    p = Polynomial.of(coeffs)
+    if vanish:  # make x a root, so the zero sign is reached
+        p = p * Polynomial.of([-x, 1])
+    assume(not p.is_zero())
+    v = p(x)
+    assert _sign_at(_int_form(p), x) == (v > 0) - (v < 0)
+
+
+def _classical_sturm_chain(p):
+    """p, p', then -rem of the last two by Fraction long division."""
+    chain = [p, p.derivative()]
+    while True:
+        a, b = chain[-2].coeffs, chain[-1].coeffs
+        n, r = len(b) - 1, list(a)
+        for k in range(len(a) - 1 - n, -1, -1):
+            f = r[k + n] / b[-1]
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+        rem = Polynomial.of(r[:n])
+        if rem.is_zero():
+            return chain
+        chain.append(rem.scale(-1))
+
+
+@given(st.lists(st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3]), min_size=2, max_size=9))
+@settings(max_examples=150, deadline=None)
+def test_sturm_chain_is_positive_multiples_of_the_classical_one(coeffs):
+    # sparse polynomials give degree gaps, where lc(b)^e can be negative
+    p = Polynomial.of(coeffs)
+    assume(p.degree >= 1)
+    a = _int_form(p)
+    chain = _sturm_chain(a, _derivative(a))
+    assert chain == [_int_form(q) for q in _classical_sturm_chain(p)]
+
+
+def _below_root(y, k, sign):
+    """Whether y < sign * sqrt(k), for a non-square k > 0, decided on rationals."""
+    if sign > 0:
+        return y < 0 or y * y < k
+    return y < 0 and y * y > k
+
+
+def _contains(interval, k, sign):
+    """Whether (lo, hi] contains the irrational sign * sqrt(k)."""
+    lo, hi = interval
+    return _below_root(lo, k, sign) and not _below_root(hi, k, sign)
+
+
+# a degree-50 product: 32 roots, every second one doubled, times x^2 - 3
+WIDE_ROOTS = [Fraction(i, 4) for i in range(-16, 16)]
+
+
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=7),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([2, 3, 5, 6, 7, 8, 10, 11, 12]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda c: c != 0),
+)
+@example(WIDE_ROOTS, 16, 3, Fraction(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_fixed_points_oracle(roots, repeats, k, scale):
+    # psi = x + scale * prod (x - a) * (x^2 - k): its fixed points are the
+    # roots a, given exactly, and +-sqrt(k), which are irrational
+    factors = roots + roots[::2][:repeats]
+    prod = Polynomial.of([-k, 0, 1]).scale(scale)
+    for a in factors:
+        prod = prod * Polynomial.of([-a, 1])
+    pts = fixed_points(Polynomial.x() + prod)
+    assert [p.location for p in pts if p.exact] == sorted(set(roots))
+    dprod = prod.derivative()
+    for p in pts:
+        if p.exact:  # psi' = 1 + prod'
+            mult = abs(1 + dprod(p.location))
+            assert p.kind == ("repelling" if mult > 1 else "neutral" if mult == 1 else "attracting")
+    inexact = [p.location for p in pts if not p.exact]
+    assert len(inexact) == 2
+    assert _contains(inexact[0], k, -1) and _contains(inexact[1], k, 1)
+
+
+def test_near_neutral_points_get_their_exact_kinds():
+    # x^2 + 1/4 - 10^-20 fixes 1/2 -+ 10^-10, where psi' = 2x = 1 -+ 2 10^-10;
+    # the denominators are past the snapping caps, so both come as intervals
+    eps = Fraction(1, 10 ** 10)
+    pts = fixed_points(Polynomial.of([Fraction(1, 4) - eps * eps, 0, 1]))
+    assert [p.kind for p in pts] == ["attracting", "repelling"]
+    for p, root in zip(pts, (Fraction(1, 2) - eps, Fraction(1, 2) + eps)):
+        lo, hi = p.location
+        assert not p.exact and lo < root <= hi
+    assert pts[0].multiplier < 1 < pts[1].multiplier
+
+
+@pytest.mark.parametrize(
+    "coeffs, kind",
+    [
+        ([Fraction(1, 10 ** 12), -1], "neutral"),  # psi' = -1 everywhere
+        ([Fraction(1, 3 * 10 ** 20), 1 + Fraction(1, 10 ** 10)], "repelling"),
+        ([Fraction(1, 3 * 10 ** 20), -1 + Fraction(1, 10 ** 10)], "attracting"),
+    ],
+)
+def test_degree_one_maps_near_modulus_one(coeffs, kind):
+    # the fixed point's denominator is past the snapping caps: an interval
+    (p,) = fixed_points(Polynomial.of(coeffs))
+    root = coeffs[0] / (1 - coeffs[1])
+    lo, hi = p.location
+    assert not p.exact and lo < root <= hi and p.kind == kind
+
+
+def test_irrational_neutral_points_stay_neutral():
+    # psi = x + (x^2 - 2)^2 has psi'(+-sqrt 2) = 1
+    pts = fixed_points(Polynomial.parse("4,1,-4,0,1"))
+    assert [(p.kind, p.exact, p.multiplier) for p in pts] == [("neutral", False, 1.0)] * 2
+    assert _contains(pts[0].location, 2, -1) and _contains(pts[1].location, 2, 1)
 
 
 def test_normal_form_dilation():
