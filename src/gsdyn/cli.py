@@ -1,8 +1,8 @@
 """Command-line interface: every operation as a subcommand, plus a suite runner.
 
 Reports are deterministic: JSON with sorted keys, CSV for plot series, or a
-short pretty text.  Exit codes: 0 success, 1 verdict mismatch or verification
-failure, 2 usage error, 3 resource limit / inconclusive result.
+short pretty text.  Exit codes: 0 success, 1 verdict mismatch, and otherwise
+the exit code of the error raised (see gsdyn.errors).
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .conjugate import young_conjugate
 from .errors import (
-    BoundaryHitError,
+    MISMATCH_EXIT,
+    RESOURCE_EXIT,
+    USAGE_EXIT,
     ConfigurationError,
     DomainError,
     GsdynError,
-    InconclusiveError,
-    ResourceLimitError,
-    VerificationError,
 )
 from .jets import Gaussian, parse_model
 from .polynomials import (
@@ -45,11 +44,6 @@ from .witnesses import (
     witness_square,
     witness_translation,
 )
-
-USAGE_EXIT = 2
-MISMATCH_EXIT = 1
-RESOURCE_EXIT = 3
-
 
 # --------------------------------------------------------------------------
 # output plumbing
@@ -322,12 +316,15 @@ def _cmd_seminorm(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    if args.m is not None and args.action != "iterate":
+        raise ConfigurationError("poly %s does not take m (it takes psi)" % (args.action,))
     psi = Polynomial.parse(args.psi)
     config = {"action": args.action, "psi": args.psi}
     if args.action == "iterate":
-        out = iterate(psi, args.m)
-        payload = {"m": args.m, "iterate": out.spec(), "degree": out.degree}
-        config["m"] = args.m
+        m = 1 if args.m is None else args.m
+        out = iterate(psi, m)
+        payload = {"m": m, "iterate": out.spec(), "degree": out.degree}
+        config["m"] = m
     elif args.action == "fixed-points":
         pts = fixed_points(psi)
         if isinstance(pts, AllPointsFixed):
@@ -350,11 +347,12 @@ def _cmd_poly(args) -> int:
             }
     else:
         nf = normal_form_degree1(psi)
+        beta, alpha = nf.conjugator.coeffs
         payload = {
             "kind": nf.kind,
             "a": None if nf.a is None else str(nf.a),
             "normal_form": nf.poly.spec(),
-            "conjugator": {"alpha": str(nf.conjugator.alpha), "beta": str(nf.conjugator.beta)},
+            "conjugator": {"alpha": str(alpha), "beta": str(beta)},
         }
     report = {"command": "poly", "config": config}
     report.update(payload)
@@ -393,7 +391,9 @@ def _suite_entry(entry: dict) -> dict:
     allow_inc = bool(entry.get("allow_inconclusive", False))
     try:
         payload, verdict = _run_witness(name, params)
-    except (ResourceLimitError, InconclusiveError, BoundaryHitError) as exc:
+    except GsdynError as exc:
+        if exc.exit_code != RESOURCE_EXIT:
+            raise
         payload, verdict = {"error": str(exc)}, "inconclusive"
     if verdict == "inconclusive":
         status = "inconclusive" if allow_inc else "fail"
@@ -499,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", parents=[common], help="exact polynomial dynamics")
     p.add_argument("action", choices=("iterate", "fixed-points", "normal-form"))
     p.add_argument("--psi", required=True, help="ascending coefficients, e.g. 0,0,1")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, default=None, help="iterate only: iteration count (default 1)")
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser(
@@ -584,15 +584,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _apply_config(parser, args, argv)
         return args.func(args)
-    except (DomainError, ConfigurationError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return USAGE_EXIT
-    except (ResourceLimitError, InconclusiveError, BoundaryHitError) as exc:
-        sys.stderr.write("inconclusive: %s\n" % exc)
-        return RESOURCE_EXIT
-    except (VerificationError, GsdynError) as exc:
-        sys.stderr.write("verification failed: %s\n" % exc)
-        return MISMATCH_EXIT
+    except GsdynError as exc:
+        sys.stderr.write("%s: %s\n" % (exc.word, exc))
+        return exc.exit_code
     except FileNotFoundError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT

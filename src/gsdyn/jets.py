@@ -35,32 +35,21 @@ _LOG_RENORM = math.log(_RENORM)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplicityPartition:
-    """(k_1, ..., k_j) with sum of ell * k_ell = j."""
-
-    j: int
-    k: Tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.k)
-
-
-def multiplicity_partitions(j: int) -> List[MultiplicityPartition]:
-    """All of I_j in lexicographic order on the multiplicity vector."""
+def multiplicity_partitions(j: int) -> List[Tuple[int, ...]]:
+    """All of I_j, the multiplicity vectors (k_1, ..., k_j) with sum of
+    ell * k_ell = j, in lexicographic order."""
     if j < 1:
         raise DomainError("multiplicity partitions need j >= 1, got %r" % (j,))
     if j > PARTITION_CAP:
         raise ResourceLimitError(
             "partition enumeration capped at j = %d (got %d)" % (PARTITION_CAP, j)
         )
-    out: List[MultiplicityPartition] = []
+    out: List[Tuple[int, ...]] = []
     k = [0] * j
 
     def rec(pos: int, remaining: int) -> None:
         if remaining == 0:
-            out.append(MultiplicityPartition(j, tuple(k)))
+            out.append(tuple(k))
             return
         if pos > j:
             return
@@ -70,16 +59,16 @@ def multiplicity_partitions(j: int) -> List[MultiplicityPartition]:
         k[pos - 1] = 0
 
     rec(1, j)
-    out.sort(key=lambda mp: mp.k)
+    out.sort()
     return out
 
 
 def faa_di_bruno_identity_sum(j: int) -> int:
     """Exact big-integer sum over I_j of (k_1+...+k_j)! / (k_1! ... k_j!)."""
     total = 0
-    for mp in multiplicity_partitions(j):
-        term = math.factorial(mp.total)
-        for kl in mp.k:
+    for k in multiplicity_partitions(j):
+        term = math.factorial(sum(k))
+        for kl in k:
             term //= math.factorial(kl)
         total += term
     return total
@@ -103,9 +92,6 @@ class Jet:
 
     def entry(self, n: int) -> SLog:
         return (self.signs[n], self.logs[n])
-
-    def value(self, n: int) -> float:
-        return ls.slog_to_float(self.entry(n))
 
     @staticmethod
     def from_exact(center, values: Sequence[Fraction]) -> "Jet":
@@ -209,12 +195,12 @@ def compose_jet_partitions(f: Jet, psi: Jet, order: int) -> Jet:
     out = [f_v[0]]
     for j in range(1, order + 1):
         terms = []
-        for mp in multiplicity_partitions(j):
+        for k in multiplicity_partitions(j):
             coeff = Fraction(math.factorial(j))
-            for ell, kl in enumerate(mp.k, start=1):
+            for ell, kl in enumerate(k, start=1):
                 coeff /= math.factorial(kl) * math.factorial(ell) ** kl
-            t = mul(lift(coeff), f_v[mp.total])
-            for ell, kl in enumerate(mp.k, start=1):
+            t = mul(lift(coeff), f_v[sum(k)])
+            for ell, kl in enumerate(k, start=1):
                 if kl:
                     t = mul(t, power(p_v[ell], kl))
             terms.append(t)

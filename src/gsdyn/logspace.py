@@ -42,16 +42,6 @@ def slog_of_fraction(x: Fraction) -> SLog:
     return (1 if x > 0 else -1, log_abs_fraction(x))
 
 
-def slog_to_float(v: SLog) -> float:
-    """Back to a double; overflows to +-inf rather than raising."""
-    s, l = v
-    if s == 0:
-        return 0.0
-    if l > 709.0:
-        return math.inf * s
-    return s * math.exp(l)
-
-
 def slog_mul(a: SLog, b: SLog) -> SLog:
     if a[0] == 0 or b[0] == 0:
         return ZERO

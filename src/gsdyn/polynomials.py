@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import DomainError, ResourceLimitError, VerificationError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEGREE_CAP = 4096
 
@@ -146,38 +145,12 @@ def iterate(psi: Polynomial, m: int) -> Polynomial:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """ell(x) = alpha x + beta with alpha != 0."""
-
-    alpha: Fraction
-    beta: Fraction
-
-    @staticmethod
-    def of(alpha, beta) -> "AffineMap":
-        alpha = _to_fraction(alpha)
-        if alpha == 0:
-            raise DomainError("affine conjugator must be invertible (alpha != 0)")
-        return AffineMap(alpha, _to_fraction(beta))
-
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(_ONE, _ZERO)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.alpha * x + self.beta
-
-    def inverse(self) -> "AffineMap":
-        return AffineMap(1 / self.alpha, -self.beta / self.alpha)
-
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial.of([self.beta, self.alpha])
-
-
-def conjugate_by(psi: Polynomial, ell: AffineMap) -> Polynomial:
-    """ell o psi o ell^-1, exactly."""
-    inv = ell.inverse()
-    return ell.as_polynomial().compose(psi.compose(inv.as_polynomial()))
+def conjugate_by(psi: Polynomial, ell: Polynomial) -> Polynomial:
+    """ell o psi o ell^-1, exactly, for an affine ell(x) = beta + alpha x."""
+    if ell.degree != 1:
+        raise DomainError("affine conjugator must be invertible (alpha != 0)")
+    beta, alpha = ell.coeffs
+    return ell.compose(psi.compose(Polynomial.of([-beta / alpha, 1 / alpha])))
 
 
 @dataclass(frozen=True)
@@ -185,7 +158,7 @@ class NormalForm:
     kind: str  # "identity" | "reflection" | "dilation" | "translation"
     a: Optional[Fraction]
     poly: Polynomial
-    conjugator: AffineMap
+    conjugator: Polynomial  # beta + alpha x
 
 
 def normal_form_degree1(psi: Polynomial) -> NormalForm:
@@ -194,13 +167,13 @@ def normal_form_degree1(psi: Polynomial) -> NormalForm:
         raise DomainError("normal form is defined for degree-1 polynomials")
     b, a = psi.coeffs[0], psi.coeffs[1]
     if a == 1 and b == 0:
-        nf = NormalForm("identity", None, Polynomial.x(), AffineMap.identity())
+        nf = NormalForm("identity", None, Polynomial.x(), Polynomial.x())
     elif a == 1:
         # x + 1 conjugated by ell(x) = b x gives x + b
-        nf = NormalForm("translation", None, Polynomial.of([1, 1]), AffineMap.of(b, 0))
+        nf = NormalForm("translation", None, Polynomial.of([1, 1]), Polynomial.of([0, b]))
     else:
         # a x conjugated by ell(x) = x + b/(1-a) gives a x + b
-        ell = AffineMap.of(1, b / (1 - a))
+        ell = Polynomial.of([b / (1 - a), 1])
         kind = "reflection" if a == -1 else "dilation"
         nf = NormalForm(kind, a, Polynomial.of([0, a]), ell)
     if conjugate_by(nf.poly, nf.conjugator) != psi:
@@ -228,14 +201,9 @@ class FixedPoint:
         return float((lo + hi) / 2)
 
 
+@dataclass(frozen=True)
 class AllPointsFixed:
     """Marker returned when psi(x) = x identically."""
-
-    def __repr__(self):
-        return "AllPointsFixed()"
-
-    def __eq__(self, other):
-        return isinstance(other, AllPointsFixed)
 
 
 # Integer forms: ascending lists of Python ints, [] for the zero polynomial.

@@ -8,11 +8,11 @@ cells (j, q): the best point of each on a log-symmetric grid, times its index
 factor.  A safeguarded Newton iteration on the log-derivative then refines the
 leading cells of that table in lockstep, on the order-(j+2) jets of the same
 grid_jets evaluation: each cell stops on its own once its Newton step is a few
-ulps, its slope is 0, no point left in its bracket can raise its value past
-rounding, or its bracket has collapsed (64 probe rounds at most).  The spatial
-supremum is therefore a lower bound.  A NaN jet is refused with
-ResourceLimitError.  Everything is carried as log-values, and the report
-states exactly what finite evidence backs the number.
+ulps, no point left in its bracket can raise its value past rounding, or its
+bracket has collapsed (64 probe rounds at most).  The spatial supremum is
+therefore a lower bound.  A NaN jet is refused with ResourceLimitError.
+Everything is carried as log-values, and the report states exactly what
+finite evidence backs the number.
 """
 
 from __future__ import annotations
@@ -268,11 +268,11 @@ def _refine_cells(
     to order j_max+2, one probe per lane, which gives L' and L''.  The bracket
     shrinks by the sign of L'; the next probe is the Newton point when L'' < 0
     and it lies inside the bracket, else the midpoint.  A lane stops when the
-    Newton step is within a few ulps of the bracket, L' = 0, no point of the
-    bracket can raise L past rounding (|L'| x width, which also ends the linear
-    convergence at degenerate maxima), or the bracket has collapsed.  A cell
-    takes its refined point, valued from order-j_max jets, where that is better,
-    in place; a vanishing cell stays as is."""
+    Newton step is within a few ulps of the bracket, no point of the bracket
+    can raise L past rounding (|L'| x width, which covers L' = 0 and ends the
+    linear convergence at degenerate maxima), or the bracket has collapsed.
+    A cell takes its refined point, valued from order-j_max jets, where that
+    is better, in place; a vanishing cell stays as is."""
     vals, x, idx = cells
     j_max, q_max, lanes = int(js.max()), int(qs.max()), np.arange(len(js))  # expq: q = 0
 
@@ -305,7 +305,6 @@ def _refine_cells(
         done = active & (
             (level == NEG_INF)
             | np.isnan(d1)
-            | (d1 == 0)
             | ((d2 < 0) & (np.abs(step) <= tol))
             | (np.abs(d1) * (hi - lo) <= 4.0 * _EPS * np.maximum(1.0, np.abs(level)))
             | (hi - lo <= tol)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -189,13 +189,7 @@ class ConditionReport:
         return self.verdict == "holds"
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "constants": dict(self.constants),
-            "counterexample": self.counterexample,
-            "grid": _GRID,
-        }
+        return dict(asdict(self), grid=_GRID)
 
 
 def _log1p_sq(t: float) -> float:

@@ -9,7 +9,7 @@ machine-checkable stand-ins for (m-)topologizability statements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -69,16 +69,7 @@ class GrowthSeries:
     details: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "points": [
-                {"index": p.index, "log_value": p.log_value, "log_ratio": p.log_ratio}
-                for p in self.points
-            ],
-            "classification": self.classification,
-            "rate": self.rate,
-            "window": self.window,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def classify_growth(

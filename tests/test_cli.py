@@ -4,7 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import gsdyn.cli as cli
 from gsdyn.cli import main
+from gsdyn.errors import (
+    BoundaryHitError,
+    ConfigurationError,
+    DomainError,
+    GsdynError,
+    InconclusiveError,
+    ResourceLimitError,
+    VerificationError,
+)
 from gsdyn.seminorms import FAMILY_PARAMS
 
 
@@ -151,6 +161,48 @@ def test_poly_iterate():
     r = run_cli("poly", "iterate", "--psi", "0,0,1", "--m", "3", "--format", "json")
     assert r.returncode == 0
     assert json.loads(r.stdout)["degree"] == 8
+
+
+def test_poly_takes_m_only_for_iterate(tmp_path, capsys):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"m": 7}))
+    for action in ("fixed-points", "normal-form"):
+        for extra in (["--m", "7"], ["--config", str(cfg)]):
+            assert main(["poly", action, "--psi", "3,2"] + extra) == 2, (action, extra)
+            err = capsys.readouterr().err
+            assert err == "error: poly %s does not take m (it takes psi)\n" % action
+    # iterate without --m is the first iterate, and its report says so
+    assert main(["--format", "json", "poly", "iterate", "--psi", "0,0,1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["m"], rep["config"]["m"], rep["degree"]) == (1, 1, 2)
+
+
+def _error_classes(cls=GsdynError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_each_error_class_sets_its_exit_code(monkeypatch, capsys):
+    table = {
+        GsdynError: (1, "verification failed"),
+        VerificationError: (1, "verification failed"),
+        DomainError: (2, "error"),
+        ConfigurationError: (2, "error"),
+        ResourceLimitError: (3, "inconclusive"),
+        BoundaryHitError: (3, "inconclusive"),
+        InconclusiveError: (3, "inconclusive"),
+    }
+    classes = set(_error_classes())
+    assert classes == set(table)
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_cmd_conjugate", fail)
+        code = main(["conjugate", "--weight", "gevrey:2", "--x", "1"])
+        assert (code, capsys.readouterr().err) == (cls.exit_code, "%s: boom\n" % cls.word)
+        assert (cls.exit_code, cls.word) == table[cls]
 
 
 def test_csv_series_output():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gsdyn import polynomials
 from gsdyn.errors import DomainError, ResourceLimitError
 from gsdyn.polynomials import (
-    AffineMap,
     AllPointsFixed,
     FixedPoint,
     Polynomial,
@@ -266,16 +265,24 @@ def test_fixed_points_oracle(roots, repeats, k, scale):
     assert _contains(inexact[0], k, -1) and _contains(inexact[1], k, 1)
 
 
-def test_near_neutral_points_get_their_exact_kinds():
-    # x^2 + 1/4 - 10^-20 fixes 1/2 -+ 10^-10, where psi' = 2x = 1 -+ 2 10^-10;
-    # the denominators are past the snapping caps, so both come as intervals
-    eps = Fraction(1, 10 ** 10)
-    pts = fixed_points(Polynomial.of([Fraction(1, 4) - eps * eps, 0, 1]))
-    assert [p.kind for p in pts] == ["attracting", "repelling"]
-    for p, root in zip(pts, (Fraction(1, 2) - eps, Fraction(1, 2) + eps)):
-        lo, hi = p.location
-        assert not p.exact and lo < root <= hi
-    assert pts[0].multiplier < 1 < pts[1].multiplier
+def test_near_neutral_points_get_their_exact_kinds(monkeypatch):
+    # x^2 + 1/4 - eps^2 fixes 1/2 -+ eps, where psi' = 2x = 1 -+ 2 eps; the
+    # denominators are past the snapping caps, so both come as intervals.  At
+    # eps = 10^-14 the 1e-13 intervals reach 1/2, the root of psi'^2 - 1, so
+    # _kind_near_one bisects each until psi'^2 - 1 has one sign on it
+    refine = polynomials._refine
+    calls = []
+    monkeypatch.setattr(polynomials, "_refine", lambda *a: calls.append(a) or refine(*a))
+    for exponent, bisections in ((10, 0), (14, 6)):
+        calls.clear()
+        eps = Fraction(1, 10 ** exponent)
+        pts = fixed_points(Polynomial.of([Fraction(1, 4) - eps * eps, 0, 1]))
+        assert len(calls) - len(pts) == bisections
+        assert [p.kind for p in pts] == ["attracting", "repelling"]
+        for p, root in zip(pts, (Fraction(1, 2) - eps, Fraction(1, 2) + eps)):
+            lo, hi = p.location
+            assert not p.exact and lo < root <= hi
+        assert pts[0].multiplier < 1 < pts[1].multiplier
 
 
 @pytest.mark.parametrize(
@@ -321,6 +328,12 @@ def test_normal_form_reflection_and_identity():
         normal_form_degree1(X2)
 
 
+def test_conjugate_by_needs_an_invertible_affine_map():
+    for ell in (Polynomial.of([3]), Polynomial.of([1, 0, 1])):
+        with pytest.raises(DomainError, match="invertible"):
+            conjugate_by(X2, ell)
+
+
 @given(
     st.integers(min_value=-5, max_value=5).filter(lambda a: a != 0),
     st.integers(min_value=-5, max_value=5),
@@ -328,7 +341,8 @@ def test_normal_form_reflection_and_identity():
 )
 @settings(max_examples=40, deadline=None)
 def test_conjugation_round_trip(alpha, beta, coeffs):
-    ell = AffineMap.of(alpha, beta)
+    ell = Polynomial.of([beta, alpha])
+    inverse = Polynomial.of([Fraction(-beta, alpha), Fraction(1, alpha)])
     psi = Polynomial.of(coeffs)
-    back = conjugate_by(conjugate_by(psi, ell), ell.inverse())
+    back = conjugate_by(conjugate_by(psi, ell), inverse)
     assert back == psi

@@ -16,7 +16,7 @@ from gsdyn.seminorms import (
     default_radius,
     eval_seminorm,
 )
-from gsdyn.weights import Gevrey, LogPower
+from gsdyn.weights import Gevrey, LogPower, parse_weight
 
 G2 = Gevrey(2.0)
 
@@ -136,6 +136,14 @@ def test_fixed_radius_boundary_is_inconclusive():
     shifted = Translated(Gaussian(1.0), 3.0)
     with pytest.raises(InconclusiveError):
         eval_seminorm(shifted, spec, SearchSpec(radius=0.5))
+
+
+def test_argmax_on_the_grid_edge_doubles_the_radius():
+    # mu = 100 pushes the expq attainment past 0.98 of the default radius 11.07
+    spec = SeminormSpec("expq", parse_weight("gevrey:1.5"), mu=100.0)
+    rep = eval_seminorm(Gaussian(1.0), spec)
+    assert rep.radius == 2 * default_radius(Gaussian(1.0), 16)
+    assert abs(rep.x) < 0.98 * rep.radius
 
 
 

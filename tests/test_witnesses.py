@@ -203,6 +203,28 @@ def test_rho_construction_pinned(model, weight, lam, m, direction, log_rho):
     assert rc.log_value == eval_seminorm(rc.model, SeminormSpec("plainp", w, lam=lam)).log_value
 
 
+@pytest.mark.parametrize("direction", ["derivative", "polynomial"])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_rho_construction_at_m_zero_keeps_the_model(lam, direction):
+    # the base attainment (0, 0) already has j - q >= 0 and q - j >= 0
+    rc = rho_construction(Gaussian(1.0), G2, lam, 0, direction)
+    base = eval_seminorm(Gaussian(1.0), SeminormSpec("plainp", G2, lam=lam))
+    assert (rc.rho, rc.log_rho, rc.attainment) == (1.0, 0.0, (0, 0, 0.0))
+    assert rc.log_value == base.log_value
+
+
+def test_rho_construction_at_m_zero_scales_only_the_wrong_direction():
+    f = parse_model("shift:3:gauss:1")
+    base = eval_seminorm(f, SeminormSpec("plainp", G2, lam=1.0))
+    assert (base.j, base.q) == (0, 1)
+    rc = rho_construction(f, G2, 1.0, 0, "polynomial")
+    assert (rc.rho, rc.log_rho, rc.attainment) == (1.0, 0.0, (0, 1, base.x))
+    assert rc.log_value == base.log_value
+    rc = rho_construction(f, G2, 1.0, 0, "derivative")  # the general path
+    j, q, _ = rc.attainment
+    assert j >= q and rc.rho == pytest.approx(67.0, rel=1e-3)
+
+
 def test_rho_polynomial_attainment_is_exact():
     # g(x) = exp(-(x/rho)^2): sup |x|^16 g(x) sits at |x| = rho sqrt(8) exactly
     import mpmath
