@@ -294,7 +294,7 @@ class Gaussian(FunctionModel):
         return _gaussian_grid(self.scale, xs, order)
 
     def spec(self) -> str:
-        return "gauss:%g" % (self.scale,)
+        return "gauss:" + ls.number_literal(self.scale)
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ class Scaled(FunctionModel):
         return signs, logs
 
     def spec(self) -> str:
-        return "scaled:%.17g:%s" % (self.rho, self.base.spec())
+        return "scaled:%s:%s" % (ls.number_literal(self.rho), self.base.spec())
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ class Translated(FunctionModel):
         return self.base.grid_jets(xs + self.shift, order)
 
     def spec(self) -> str:
-        return "shift:%.17g:%s" % (self.shift, self.base.spec())
+        return "shift:%s:%s" % (ls.number_literal(self.shift), self.base.spec())
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,8 @@ class PrescribedJet(FunctionModel):
         return np.array(jet.signs, dtype=np.int8)[:, None], np.array(jet.logs)[:, None]
 
     def spec(self) -> str:
-        return "jet:%g:%s" % (
-            self.center,
+        return "jet:%s:%s" % (
+            ls.number_literal(self.center),
             ",".join("%d=%s" % (n, v) for n, v in self.entries),
         )
 
@@ -455,7 +455,8 @@ class Composed(FunctionModel):
 
 def parse_model(text: str) -> FunctionModel:
     """Literals: gauss:<scale>, scaled:<rho>:<inner>, shift:<c>:<inner>,
-    jet:<center>:<n=value,...>."""
+    jet:<center>:<n=value,...>, comp:<psi>:<inner> (psi a Polynomial.parse
+    literal, which holds no ":")."""
     kind, _, rest = text.partition(":")
     try:
         if kind == "gauss":
@@ -473,6 +474,9 @@ def parse_model(text: str) -> FunctionModel:
                 n, _, v = part.partition("=")
                 entries[int(n)] = Fraction(v)
             return PrescribedJet.of(float(Fraction(center)), entries)
+        if kind == "comp":
+            psi, _, inner = rest.partition(":")
+            return Composed(parse_model(inner), Polynomial.parse(psi))
     except GsdynError:  # gsdyn's usage errors are ValueErrors too
         raise
     except (ValueError, ZeroDivisionError):

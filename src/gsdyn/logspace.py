@@ -21,6 +21,13 @@ ZERO: SLog = (0, NEG_INF)
 ONE: SLog = (1, 0.0)
 
 
+def number_literal(x: float) -> str:
+    """The shortest literal that parses back to the float x (its repr), with
+    an integral value written without ".0": the number format of every spec."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def log_abs_int(n: int) -> float:
     """log|n| for arbitrarily large Python ints (0 maps to -inf)."""
     if n == 0:

@@ -1,20 +1,38 @@
-"""Weight functions and grid-certified checks of their defining conditions.
+"""Weight functions and their defining conditions, decided per family.
 
-A verdict here is a certificate over a finite grid, never a proof: every
-"holds" report carries the grid description and the safety factor applied
-to the constants found by the sweep.
+Every weight has one of two normal forms (`normal_form`): Gevrey t^(1/d),
+d > 1, or log-power c (log+ t)^p, p > 1, with c = 1 for LogPower(p).  root:a
+makes them t^(1/(d a)) and c a^(-p) (log+ t)^p; nested roots multiply.  Each
+condition is a formula on the normal form:
+
+  condition                               Gevrey t^(1/d)       c (log+ t)^p
+  alpha    omega(2t) <= L (omega(t) + 1)  L = 2^(1/d)          L = S(log 2)
+  beta     int_0^inf omega/(1+t^2) dt     pi / (2 cos(pi/2d))  c Gamma(p+1) beta_D(p+1)
+  gamma    log(1 + t^2) = o(omega)        holds                holds
+  delta    phi(u) = omega(e^u) convex     holds                holds
+  epsilon  int_1^inf omega(yt)/t^2 dt     C = d/(d-1)          C = S(Gamma(p+1)^(1/p))
+             <= C (1 + omega(y))
+  zeta     2 omega(t) <= omega(Ht) + H    H = 2^d              fails
+  logcond  omega(t^2) <= C (1+omega(t))   fails                C = 2^p
+  subadditive                             holds                fails at (1, 1)
+
+S(a) = sup_{u >= 0} c (u + a)^p / (c u^p + 1), and beta_D is the Dirichlet
+beta.  Each constant is the least that works, except the log-power epsilon C,
+a bound by Minkowski's inequality.  A failed zeta or logcond carries no
+counterexample: the failure is asymptotic, and any single t is met by a large
+enough constant.  A constant past the double range raises ResourceLimitError.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GsdynError, ResourceLimitError
+from .logspace import number_literal
 
 class Weight:
     """Base class; concrete families below. Instances are immutable."""
@@ -57,7 +75,7 @@ class Gevrey(Weight):
         return d1, (e - 1.0) * d1 / t
 
     def spec(self) -> str:
-        return "gevrey:%g" % self.d
+        return "gevrey:" + number_literal(self.d)
 
 
 @dataclass(frozen=True, repr=False)
@@ -87,7 +105,7 @@ class LogPower(Weight):
         return d1, d2
 
     def spec(self) -> str:
-        return "logpow:%g" % self.p
+        return "logpow:" + number_literal(self.p)
 
 
 @dataclass(frozen=True, repr=False)
@@ -112,7 +130,7 @@ class RootComposed(Weight):
         return b1 * s1, b2 * s1 * s1 + b1 * (e - 1.0) * s1 / t
 
     def spec(self) -> str:
-        return "root:%g:%s" % (self.a, self.base.spec())
+        return "root:%s:%s" % (number_literal(self.a), self.base.spec())
 
 
 def sigma_transform(w: Weight, a: float) -> Weight:
@@ -124,15 +142,24 @@ def sigma_transform(w: Weight, a: float) -> Weight:
     return RootComposed(w, float(a))
 
 
+def normal_form(w: Weight) -> Tuple[str, float, float]:
+    """(kind, index, c): ("gevrey", d, 1.0) when w is t**(1/d), or
+    ("logpower", p, c) when w is c * max(0, log t)**p.  Past the double
+    range of a^p, c underflows to 0.0."""
+    if isinstance(w, Gevrey):
+        return "gevrey", w.d, 1.0
+    if isinstance(w, LogPower):
+        return "logpower", w.p, 1.0
+    kind, index, c = normal_form(w.base)  # w is a RootComposed
+    if kind == "gevrey":
+        return kind, index * w.a, c
+    return kind, index, c * w.a ** -index
+
+
 def gevrey_index(w: Weight) -> Optional[float]:
     """Effective Gevrey index when w reduces to t**(1/d), else None."""
-    if isinstance(w, Gevrey):
-        return w.d
-    if isinstance(w, RootComposed):
-        inner = gevrey_index(w.base)
-        if inner is not None:
-            return inner * w.a
-    return None
+    kind, index, _ = normal_form(w)
+    return index if kind == "gevrey" else None
 
 
 def parse_weight(text: str) -> Weight:
@@ -156,242 +183,104 @@ def parse_weight(text: str) -> Weight:
 
 
 # --------------------------------------------------------------------------
-# condition checks
+# conditions, decided on the normal form
 # --------------------------------------------------------------------------
 
 
-GRID_T_MAX = 1e100  # the certification grid is log-spaced on [1e-6, GRID_T_MAX]
-GRID_POINTS = 400
-SAFETY = 1.05  # factor applied to the constants a sweep finds
-LOGCOND_GAMMA = 2.0
-QUAD_NODES = 24  # Gauss-Legendre nodes per panel of the beta and epsilon integrals
-# widest panels of the beta rule (in u = log t) and the epsilon rule (in
-# s = -log u); both rules also grade their panels toward the log-power kink
-BETA_PANEL = 32.0
-EPSILON_PANEL = 40.0
-_GRID = "log grid, %d points on (0, %g], safety %.3g" % (GRID_POINTS, GRID_T_MAX, SAFETY)
-
-
-def _log_grid(lo: float = 1e-6, hi: float = GRID_T_MAX, n: int = GRID_POINTS) -> List[float]:
-    r = math.log(hi / lo) / (n - 1)
-    return [lo * math.exp(r * i) for i in range(n)]
+LOG2 = math.log(2.0)
+DIRICHLET_TERMS = 30  # terms of the accelerated Dirichlet-beta series
 
 
 @dataclass
 class ConditionReport:
     condition: str
-    verdict: str  # "holds" | "fails" | "inconclusive"
+    verdict: str  # "holds" | "fails"
     constants: dict = field(default_factory=dict)
-    counterexample: Union[float, list, None] = None
+    counterexample: Optional[list] = None
 
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), grid=_GRID)
+        return asdict(self)
 
 
-def _log1p_sq(t: float) -> float:
-    # log(1 + t^2) without overflowing t*t
-    if t > 1e150:
-        return 2.0 * math.log(t)
-    return math.log1p(t * t)
+def _sup_ratio(log_a: float, p: float, c: float) -> float:
+    """S(a) from log a.  The derivative has the sign of 1 - a c u^(p-1), so
+    the sup sits at u* = (a c)^(-1/(p-1)), where 1/(c u*^p) = a/u* and the
+    ratio is (1 + a/u*)^(p-1).  In logs, because u* overflows as p -> 1."""
+    log_a_over_u = log_a + (log_a + math.log(c)) / (p - 1.0)
+    return math.exp((p - 1.0) * float(np.logaddexp(0.0, log_a_over_u)))
 
 
-def _check_alpha(w: Weight) -> ConditionReport:
-    sup = 0.0
-    for t in _log_grid():
-        sup = max(sup, w(2.0 * t) / (w(t) + 1.0))
-    big_l = max(1.0, SAFETY * sup)
-    return ConditionReport("alpha", "holds", {"L": big_l})
+def _dirichlet_beta(s: float) -> float:
+    """beta(s) = sum over k >= 0 of (-1)^k (2k+1)^(-s), s > 1, by the
+    alternating-series acceleration of Cohen, Rodriguez Villegas and Zagier
+    (Algorithm 1).  Its error is below 2 (3 + sqrt 8)^-n times the sum, far
+    under double rounding at n = DIRICHLET_TERMS."""
+    n = DIRICHLET_TERMS
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = 0.5 * (d + 1.0 / d)
+    b, c, total = -1.0, -d, 0.0
+    for k in range(n):
+        c = b - c
+        total += c * (2.0 * k + 1.0) ** -s
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return total / d
 
 
-def _tail_exponent(w: Weight, t_hi: float) -> float:
-    # empirical power-law slope of omega on [t_hi/100, t_hi]
-    lo, hi = w(t_hi / 100.0), w(t_hi)
-    if lo <= 0 or hi <= 0:
-        return 0.0
-    return (math.log(hi) - math.log(lo)) / math.log(100.0)
+def _holds(**constants):
+    return "holds", constants, None
 
 
-@functools.cache
-def _legendre_rule():
-    # nodes and weights on [-1, 1], built on first use (numpy.polynomial loads then)
-    return np.polynomial.legendre.leggauss(QUAD_NODES)
-
-
-def _gauss_legendre(
-    f: Callable[[float], float], lo: float, hi: float, width: float, kink: float
-) -> float:
-    """Composite Gauss-Legendre rule for a scalar f on [lo, hi].
-
-    The interval is cut into equal panels no wider than `width`, with
-    QUAD_NODES nodes each.  The panels also shrink by factors of 8 toward
-    `kink`, where f may fail to be smooth (such as (log t)^p at t = 1), on
-    both sides and whether it lies inside [lo, hi] or just outside: that
-    keeps the rule exponentially accurate next to an algebraic singularity."""
-    x, wt = _legendre_rule()
-    edges = set(np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1).tolist())
-    edges.add(kink)
-    edges.update(kink + side * width * 8.0 ** -k for k in range(1, 9) for side in (-1, 1))
-    edges = np.array(sorted(e for e in edges if lo <= e <= hi))
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * x
-    vals = np.array([f(u) for u in nodes.ravel().tolist()])
-    return float((half[:, None] * wt).ravel() @ vals)
-
-
-def _check_beta(w: Weight) -> ConditionReport:
-    beta_hat = _tail_exponent(w, GRID_T_MAX)
-    if beta_hat >= 0.99:
-        return ConditionReport("beta", "inconclusive", {"tail_exponent": beta_hat})
-    # u = log t turns omega(t)/(1+t^2) dt into omega(e^u)/(2 cosh u) du,
-    # exponentially small at both ends; the log-power kink t = 1 is u = 0
-    t_lo, t_hi = 1e-16, GRID_T_MAX
-    integral = _gauss_legendre(
-        lambda u: w(math.exp(u)) / (2.0 * math.cosh(u)),
-        math.log(t_lo),
-        math.log(t_hi),
-        BETA_PANEL,
-        0.0,
-    )
-    # omega is non-decreasing, so the integral over [0, t_lo] is at most
-    # t_lo omega(t_lo).  Past t_hi, omega(t) <= omega(t_hi)(t/t_hi)^beta_hat
-    # (log-log slope non-increasing for the in-scope families, and beta_hat is
-    # the secant slope on [t_hi/100, t_hi]), so the tail is at most:
-    tail = w(t_hi) / (t_hi * (1.0 - beta_hat))
-    return ConditionReport(
-        "beta",
-        "holds",
-        {"integral": t_lo * w(t_lo) + integral + tail, "tail_exponent": beta_hat},
-    )
-
-
-def _check_gamma(w: Weight) -> ConditionReport:
-    ts = _log_grid()
-    tail = ts[-max(8, len(ts) // 10):]
-    ratios = [_log1p_sq(t) / w(t) for t in tail]
-    monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(ratios, ratios[1:]))
-    if monotone and ratios[-1] < 0.01:
-        return ConditionReport("gamma", "holds", {"final_ratio": ratios[-1]})
-    return ConditionReport("gamma", "fails", {"final_ratio": ratios[-1]}, tail[-1])
-
-
-def _check_delta(w: Weight) -> ConditionReport:
-    hi = math.log(GRID_T_MAX)
-    n = GRID_POINTS
-    us = [hi * i / (n - 1) for i in range(n)]
-    vals = [w(math.exp(u)) for u in us]
-    for i in range(1, n - 1):
-        d2 = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
-        if d2 < -1e-9 * (1.0 + abs(vals[i])):
-            return ConditionReport("delta", "fails", {"second_difference": d2}, math.exp(us[i]))
-    return ConditionReport("delta", "holds")
-
-
-def _check_epsilon(w: Weight) -> ConditionReport:
-    ys = _log_grid(1e-2, 1e6, 25)
-    s_hi = 80.0
-    sup = 0.0
-    y_at = ys[0]
-    for y in ys:
-        # u = 1/t, then u = e^-s: integral_1^inf omega(y t)/t^2 dt
-        # = integral_0^1 omega(y/u) du = integral_0^inf omega(y e^s) e^-s ds,
-        # whose log-power kink y e^s = 1 sits at s = -log y
-        val = _gauss_legendre(
-            lambda s: w(y * math.exp(s)) * math.exp(-s), 0.0, s_hi, EPSILON_PANEL, -math.log(y)
-        )
-        # past s_hi, omega(y e^s) <= omega(x)e^(b(s - s_hi)) with x = y e^s_hi and
-        # b the secant slope on [x/100, x], as in the beta check (exact for
-        # Gevrey); its integral against e^-s is finite whenever b < 1
-        x = y * math.exp(s_hi)
-        b = _tail_exponent(w, x)
-        if b >= 1.0:
-            return ConditionReport("epsilon", "inconclusive", {"tail_exponent": b, "y": y})
-        ratio = (val + w(x) * math.exp(-s_hi) / (1.0 - b)) / (1.0 + w(y))
-        if ratio > sup:
-            sup, y_at = ratio, y
-    return ConditionReport("epsilon", "holds", {"C": SAFETY * sup, "argmax_y": y_at})
-
-
-_ZETA_CANDIDATES = tuple(range(1, 11)) + tuple(2 ** k for k in range(4, 18))
-
-
-def _check_zeta(w: Weight) -> ConditionReport:
-    # condition is asymptotic, so probe far past the regular grid
-    ts = _log_grid(hi=1e300)
-    for big_h in _ZETA_CANDIDATES:
-        ok = True
-        for t in ts:
-            lhs = 2.0 * w(t)
-            rhs = w(min(big_h * t, 1e307)) + big_h
-            if lhs > rhs + 1e-12 * (1.0 + rhs):
-                ok = False
-                break
-        if ok:
-            return ConditionReport("zeta", "holds", {"H": float(big_h)})
-    big_h = _ZETA_CANDIDATES[-1]
-    worst_t, worst = None, 0.0
-    for t in ts:
-        viol = 2.0 * w(t) - w(min(big_h * t, 1e307)) - big_h
-        if viol > worst:
-            worst, worst_t = viol, t
-    return ConditionReport(
-        "zeta",
-        "fails",
-        {"H_max_tried": float(big_h), "violation": worst},
-        worst_t,
-    )
-
-
-_LOGCOND_CAP = 1e6
-
-
-def _check_logcond(w: Weight) -> ConditionReport:
-    gamma = LOGCOND_GAMMA
-    ts = _log_grid()
-    sup = 0.0
-    for t in ts:
-        ratio = w(t ** gamma) / (1.0 + w(t))
-        if ratio > _LOGCOND_CAP:
-            return ConditionReport("logcond", "fails", {"gamma": gamma, "ratio": ratio}, t)
-        sup = max(sup, ratio)
-    return ConditionReport("logcond", "holds", {"gamma": gamma, "C": SAFETY * sup})
-
-
-def _check_subadditive(w: Weight) -> ConditionReport:
-    ts = [0.0] + _log_grid()[:: GRID_POINTS // 48]
-    for i, t1 in enumerate(ts):
-        for t2 in ts[i:]:
-            lhs = w(min(t1 + t2, 1e307))
-            rhs = w(t1) + w(t2)
-            if lhs > rhs + 1e-12 * (1.0 + lhs):
-                return ConditionReport("subadditive", "fails", {"violation": lhs - rhs}, [t1, t2])
-    return ConditionReport("subadditive", "holds")
-
-
-_CHECKS = {
-    "alpha": _check_alpha,
-    "beta": _check_beta,
-    "gamma": _check_gamma,
-    "delta": _check_delta,
-    "epsilon": _check_epsilon,
-    "zeta": _check_zeta,
-    "logcond": _check_logcond,
-    "subadditive": _check_subadditive,
+# One table per family: condition -> (index, c) -> (verdict, constants,
+# counterexample).  The Gevrey c is always 1.
+_GEVREY = {
+    "alpha": lambda d, _: _holds(L=2.0 ** (1.0 / d)),
+    # cos(pi/(2d)) written as a sine, which keeps its relative accuracy as d -> 1
+    "beta": lambda d, _: _holds(integral=math.pi / (2.0 * math.sin(0.5 * math.pi * (d - 1.0) / d))),
+    "gamma": lambda d, _: _holds(),
+    "delta": lambda d, _: _holds(),
+    "epsilon": lambda d, _: _holds(C=d / (d - 1.0)),  # the integral is d/(d-1) omega(y)
+    "zeta": lambda d, _: _holds(H=2.0 ** d),  # omega(2^d t) = 2 omega(t)
+    "logcond": lambda d, _: ("fails", {}, None),  # omega(t^2) / omega(t) = omega(t)
+    "subadditive": lambda d, _: _holds(),
 }
-CONDITIONS = tuple(_CHECKS)
+_LOGPOWER = {
+    # with u = log t, omega(2t) / (omega(t) + 1) = c (u + log 2)^p / (c u^p + 1)
+    "alpha": lambda p, c: _holds(L=_sup_ratio(math.log(LOG2), p, c)),
+    "beta": lambda p, c: _holds(
+        integral=math.exp(math.log(c) + math.lgamma(p + 1.0)) * _dirichlet_beta(p + 1.0)
+    ),
+    "gamma": lambda p, c: _holds(),
+    "delta": lambda p, c: _holds(),
+    # Minkowski in L^p(dt/t^2) on [1, inf): the integral is at most
+    # c (log+ y + Gamma(p+1)^(1/p))^p
+    "epsilon": lambda p, c: _holds(C=_sup_ratio(math.lgamma(p + 1.0) / p, p, c)),
+    "zeta": lambda p, c: ("fails", {}, None),  # 2 omega(t) / omega(H t) -> 2 for every H
+    "logcond": lambda p, c: _holds(C=2.0 ** p),  # omega(t^2) = 2^p omega(t)
+    "subadditive": lambda p, c: (
+        "fails", {"violation": math.exp(math.log(c) + p * math.log(LOG2))}, [1.0, 1.0]
+    ),
+}
+_TABLES = {"gevrey": _GEVREY, "logpower": _LOGPOWER}
+CONDITIONS = tuple(_GEVREY)
 
 
 def check_condition(w: Weight, condition: str) -> ConditionReport:
-    try:
-        fn = _CHECKS[condition]
-    except KeyError:
+    if condition not in CONDITIONS:
         raise ConfigurationError(
             "unknown condition %r (expected one of %s)" % (condition, ", ".join(CONDITIONS))
+        )
+    kind, index, c = normal_form(w)
+    try:
+        verdict, constants, counterexample = _TABLES[kind][condition](index, c)
+    except (OverflowError, ValueError):  # exp past the double range; log of an underflowed c
+        raise ResourceLimitError(
+            "%s: a constant of condition %s overflows a double" % (w.spec(), condition)
         ) from None
-    return fn(w)
+    return ConditionReport(condition, verdict, constants, counterexample)
 
 
 def check_all_conditions(w: Weight) -> List[ConditionReport]:

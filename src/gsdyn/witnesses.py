@@ -34,12 +34,11 @@ from .jets import (
 )
 from .polynomials import Polynomial, iterate
 from .seminorms import SearchSpec, SeminormSpec, attainment_matrix, eval_seminorm
-from .weights import SAFETY, Gevrey, Weight, check_condition, sigma_transform
+from .weights import Gevrey, Weight, check_condition, normal_form, sigma_transform
 
 LOG2 = math.log(2.0)
 NEG_INF = float("-inf")
 
-Q_T_HI = 1e5  # q_linear_bound certifies omega(t) <= Q t on [1, Q_T_HI]
 DEG2_SEARCH = SearchSpec(points=512, radius=6.0)  # the deg >= 2 numerators
 DELTA_SCAN_CAP = 100000  # largest j the dilation-delta scan may reach
 JET_CHECK_MAX = 12  # largest m the repelling and square jet paths cross-check
@@ -115,9 +114,15 @@ def classify_growth(
 
 
 def q_linear_bound(w: Weight) -> float:
-    """Grid-certified Q with omega(t) <= Q t on [1, Q_T_HI]."""
-    ts = np.exp(np.linspace(0.0, math.log(Q_T_HI), 2000))
-    return SAFETY * max(w(float(t)) / float(t) for t in ts)
+    """Q = sup over t >= 1 of omega(t)/t, from w's normal form: 1 for
+    t^(1/d), at t = 1, and c (p/e)^p for c (log+ t)^p, at log t = p."""
+    kind, p, c = normal_form(w)
+    if kind == "gevrey":
+        return 1.0
+    try:
+        return math.exp(math.log(c) + p * (math.log(p) - 1.0))
+    except (OverflowError, ValueError):  # exp past the double range; log of an underflowed c
+        raise ResourceLimitError("%s: Q = c (p/e)^p overflows a double" % w.spec()) from None
 
 
 def _fit_slope(points: List[GrowthPoint], window: int) -> float:
@@ -142,7 +147,8 @@ def witness_translation(
     """Series log q_{w,lam,mu}(f(. + m)) - log q_{w,lam,mu}(f) for m = 0..m_max.
 
     Expected verdict: at-most-geometric with tail slope <= 1.1 mu L Q, where
-    L comes from condition (alpha) and Q from the linear bound on omega.
+    L is condition (alpha)'s constant and Q = sup_{t >= 1} omega(t)/t
+    (q_linear_bound), both exact formulas on w's normal form.
     """
     rep = check_condition(w, "alpha")
     if not rep.holds:

@@ -45,6 +45,7 @@ def test_usage_error_exits_2(tmp_path):
         seminorm + ["jet:abc:1=1"],
         seminorm + ["jet:0:x=1"],
         seminorm + ["jet:0:1=1/0"],
+        seminorm + ["comp:0,abc:gauss:1"],
         ["poly", "fixed-points", "--psi", "1,abc"],
         ["poly", "fixed-points", "--psi", "1/0,1"],
         ["witness", "repelling", "--x0", "abc"],
@@ -103,10 +104,18 @@ def test_seminorm_takes_each_family_flag(capsys):
 
 
 def test_logpower_overflow_exits_3(capsys):
-    # log(t)^p leaves the double range on the condition grids: a typed limit
-    for weight in ("logpower:110", "logpower:200"):
-        assert main(["weight-check", "--weight", weight]) == 3
-        assert "overflows" in capsys.readouterr().err
+    # every constant of logpower:110 is a double; beta's Gamma(201) is not
+    assert main(["weight-check", "--weight", "logpower:110"]) == 0
+    capsys.readouterr()
+    assert main(["weight-check", "--weight", "logpower:200"]) == 3
+    assert "logpow:200" in capsys.readouterr().err
+
+
+def test_composed_model_literal(capsys):
+    # the literal Composed.spec() writes and error messages quote
+    argv = ["--format", "json", "seminorm", "--model", "comp:0,0,1:gauss:1", "--weight", "gevrey:2"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["model"] == "comp:0,0,1:gauss:1"
 
 
 def test_dilation_past_double_range_exits_3(capsys, monkeypatch):

@@ -48,10 +48,11 @@ USED_OUTSIDE = {
 
 
 def unreferenced_definitions(sources):
-    """The top-level functions and classes, and the methods of top-level
-    classes, of `sources` (module name -> source) whose name no code in
-    `sources` uses outside the definition's own body.  Dunder methods are
-    called implicitly and are not checked."""
+    """The top-level functions, classes and UPPER_CASE constants, and the
+    methods of top-level classes, of `sources` (module name -> source) whose
+    name no code in `sources` uses outside the definition's own body.  Dunder
+    methods are called implicitly and are not checked; assigning a name does
+    not use it."""
     defined, refs = [], {}
 
     def visit(module, node, owners):
@@ -63,7 +64,14 @@ def unreferenced_definitions(sources):
                     defined.append((module, qual))
                 visit(module, child, qual)
                 continue
-            if isinstance(child, (ast.Name, ast.Attribute)):
+            if not owners and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                defined.extend(
+                    (module, (t.id,)) for t in targets if isinstance(t, ast.Name) and t.id.isupper()
+                )
+            if isinstance(child, ast.Attribute) or (
+                isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store)
+            ):
                 name = child.id if isinstance(child, ast.Name) else child.attr
                 refs.setdefault(name, []).append((module, owners))
             visit(module, child, owners)
@@ -88,6 +96,16 @@ def test_checker_flags_an_unreferenced_definition():
     assert unreferenced_definitions({"mod": src}) == ["mod.A", "mod.A.entry", "mod.recursive"]
     user = "import mod\nmod.A().entry()\n"
     assert unreferenced_definitions({"mod": src, "user": user}) == ["mod.recursive"]
+
+
+def test_checker_flags_an_unread_constant():
+    src = (
+        "READ = 1\nUNREAD = READ + 1\n_PRIVATE: int = 2\nlower = 3\n\n"
+        "def f():\n    return READ\n\nf()\n"
+    )
+    assert unreferenced_definitions({"mod": src}) == ["mod.UNREAD", "mod._PRIVATE"]
+    user = "import mod\nprint(mod.UNREAD)\n"
+    assert unreferenced_definitions({"mod": src, "user": user}) == ["mod._PRIVATE"]
 
 
 def test_package_code_uses_every_definition():

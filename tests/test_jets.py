@@ -213,6 +213,28 @@ def test_parse_model():
     )
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+any_model = st.recursive(
+    st.builds(Gaussian, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    | st.builds(
+        PrescribedJet.of,
+        finite,
+        st.dictionaries(st.integers(0, 8), st.fractions(max_denominator=50), min_size=1, max_size=3),
+    ),
+    lambda inner: st.builds(Scaled, inner, finite.filter(lambda rho: rho != 0))
+    | st.builds(Translated, inner, finite)
+    | st.builds(Composed, inner, st.lists(st.fractions(), min_size=1, max_size=4).map(Polynomial.of)),
+    max_leaves=4,
+)
+
+
+@given(any_model)
+@settings(max_examples=100, deadline=None)
+def test_model_spec_round_trips(m):
+    # one number format for every spec: the shortest repr, parsed back exactly
+    assert parse_model(m.spec()) == m
+
+
 def test_composed_inner_values_match_scalar_horner():
     # Composed.grid_jets feeds the base model the row-0 vector Horner values;
     # they must equal the per-point Polynomial.__call__ loop bit for bit.

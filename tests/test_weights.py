@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdyn.errors import ConfigurationError
+from gsdyn.errors import ConfigurationError, ResourceLimitError
 from gsdyn.weights import (
     CONDITIONS,
-    SAFETY,
     Gevrey,
     LogPower,
     RootComposed,
     check_all_conditions,
     check_condition,
-    _log_grid,
     gevrey_index,
+    normal_form,
     parse_weight,
     sigma_transform,
 )
@@ -54,6 +53,21 @@ def test_parse_weight_round_trip():
     assert parse_weight("logpower:2")(math.e ** 2) == pytest.approx(4.0)
     with pytest.raises(ConfigurationError):
         parse_weight("nope:1")
+
+
+index_above_one = st.floats(min_value=1.0, max_value=1e300, exclude_min=True)
+any_weight = st.recursive(
+    st.builds(Gevrey, index_above_one) | st.builds(LogPower, index_above_one),
+    lambda inner: st.builds(RootComposed, inner, st.floats(min_value=1.0, max_value=1e300)),
+    max_leaves=4,
+)
+
+
+@given(any_weight)
+@settings(max_examples=100, deadline=None)
+def test_spec_round_trips(w):
+    # Gevrey(1.23456789) and LogPower(1.000000001) once printed as other weights
+    assert parse_weight(w.spec()) == w
 
 
 @given(st.floats(min_value=1.0, max_value=1e8), st.floats(min_value=1.0, max_value=1e8))
@@ -105,10 +119,44 @@ def test_condition_matrix_logpower():
 
 
 def test_condition_reports_carry_evidence():
-    rep = check_condition(Gevrey(2.0), "alpha")
-    assert rep.holds and rep.constants["L"] >= 1.0
-    rep = check_condition(Gevrey(2.0), "logcond")
-    assert not rep.holds and rep.counterexample is not None
+    reports = {r.condition: r for r in check_all_conditions(Gevrey(2.0))}
+    assert reports["alpha"].constants == {"L": math.sqrt(2.0)}
+    assert reports["epsilon"].constants == {"C": 2.0}
+    assert reports["zeta"].constants == {"H": 4.0}
+    assert reports["beta"].constants["integral"] == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-15)
+    # an asymptotic failure: each single t is met by a large enough C
+    assert not reports["logcond"].holds and reports["logcond"].counterexample is None
+    rep = check_condition(LogPower(2.0), "subadditive")
+    assert not rep.holds and rep.counterexample == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "spec, condition, verdict, constants",
+    [
+        # sampled on log grids up to 1e100 or 1e300, these came out wrong: there
+        # log(1 + t^2) / omega(t) has not yet fallen far, a large H still
+        # covers 2 omega(t), and the Gevrey candidates H stopped at 2^17
+        ("logpow:1.5", "gamma", "holds", {}),
+        ("logpow:1.5", "zeta", "fails", {}),
+        ("root:3:logpow:2", "gamma", "holds", {}),
+        ("root:3:logpow:2", "zeta", "fails", {}),
+        ("logpow:1.000000001", "gamma", "holds", {}),
+        ("logpow:1.000000001", "zeta", "fails", {}),
+        ("logpow:1.000000001", "alpha", "holds", {"L": 1.0}),
+        ("gevrey:20", "zeta", "holds", {"H": 2.0 ** 20}),
+        ("gevrey:20", "logcond", "fails", {}),
+        ("gevrey:20", "epsilon", "holds", {"C": 20.0 / 19.0}),
+    ],
+)
+def test_verdicts_decided_on_the_normal_form(spec, condition, verdict, constants):
+    rep = check_condition(parse_weight(spec), condition)
+    assert (rep.verdict, rep.constants, rep.counterexample) == (verdict, constants, None)
+
+
+def test_normal_form_of_roots():
+    assert normal_form(parse_weight("root:2:root:3:gevrey:1.5")) == ("gevrey", 9.0, 1.0)
+    assert normal_form(parse_weight("root:2:logpow:3")) == ("logpower", 3.0, 0.125)
+    assert normal_form(parse_weight("root:2:root:3:logpow:2")) == ("logpower", 2.0, 1.0 / 36.0)
 
 
 def test_unknown_condition_rejected():
@@ -120,6 +168,12 @@ def test_unknown_condition_rejected():
 def _gevrey_beta(d):
     # integral_0^inf t^(1/d)/(1+t^2) dt
     return math.pi / (2.0 * math.cos(math.pi / (2.0 * d)))
+
+
+def _mp_gevrey_beta(d):
+    # the same at 30 digits: the double cosine loses its accuracy as d -> 1
+    with mpmath.workdps(30):
+        return float(mpmath.pi / (2 * mpmath.cos(mpmath.pi / (2 * mpmath.mpf(d)))))
 
 
 def _logpower_beta(p):
@@ -137,12 +191,13 @@ def _logpower_beta(p):
         ("logpower:1.5", _logpower_beta(1.5)),
         ("logpower:2", _logpower_beta(2)),
         ("logpower:3", _logpower_beta(3)),
+        ("gevrey:1.000001", _mp_gevrey_beta(1.000001)),  # once "inconclusive"
     ],
 )
 def test_beta_integral_is_an_upper_bound_on_the_exact_value(spec, exact):
     rep = check_condition(parse_weight(spec), "beta")
     assert rep.holds
-    assert exact * (1.0 - 1e-12) <= rep.constants["integral"] <= exact * (1.0 + 1e-4)
+    assert exact * (1.0 - 1e-12) <= rep.constants["integral"] <= exact * (1.0 + 1e-12)
 
 
 def test_beta_oracles():
@@ -153,38 +208,48 @@ def test_beta_oracles():
 
 @pytest.mark.parametrize("d", [1.005, 1.1, 1.5, 2.0, 3.0])
 def test_epsilon_constant_gevrey_closed_form(d):
-    # integral_0^1 (y/u)^(1/d) du = y^(1/d) d/(d-1)
-    expected = SAFETY * max(
-        y ** (1.0 / d) * (d / (d - 1.0)) / (1.0 + y ** (1.0 / d))
-        for y in _log_grid(1e-2, 1e6, 25)
-    )
-    c = check_condition(Gevrey(d), "epsilon").constants["C"]
-    assert c == pytest.approx(expected, rel=1e-9)
-    if d == 2.0:
-        assert expected == pytest.approx(2.0979020979, rel=1e-10)
+    # integral_1^inf (y t)^(1/d) / t^2 dt = y^(1/d) d/(d-1)
+    assert check_condition(Gevrey(d), "epsilon").constants["C"] == d / (d - 1.0)
 
 
-@pytest.mark.parametrize("p, expected", [(2.0, 2.7250424244954385), (3.0, 9.273039265644718)])
-def test_epsilon_constant_logpower_pinned(p, expected):
+@pytest.mark.parametrize("p, expected", [(2.0, 3.0), (3.0, 7.0 + 2.0 * math.sqrt(6.0))])
+def test_epsilon_constant_logpower_closed_form(p, expected):
+    # with c = 1, S(Gamma(p+1)^(1/p)) = (1 + Gamma(p+1)^(1/(p-1)))^(p-1)
     c = check_condition(LogPower(p), "epsilon").constants["C"]
-    assert c == pytest.approx(expected, rel=1e-9)
+    assert c == pytest.approx(expected, rel=1e-14)
 
 
-def test_epsilon_without_a_tail_bound_is_inconclusive():
-    # (log t)^100 still has log-log slope 100/80 > 1 at t = e^80, where the
-    # quadrature stops, so no power-law bound covers the rest
+def test_epsilon_holds_for_a_steep_log_power():
+    # (log t)^100 is still steeper than t at t = e^80, where a quadrature in
+    # log t would have to stop; the Minkowski bound needs no tail
     rep = check_condition(LogPower(100.0), "epsilon")
-    assert rep.verdict == "inconclusive" and rep.constants["tail_exponent"] >= 1.0
+    expected = (1.0 + mpmath.gamma(101) ** (mpmath.mpf(1) / 99)) ** 99
+    assert rep.holds and rep.constants["C"] == pytest.approx(float(expected), rel=1e-12)
+
+
+def test_constants_past_the_double_range_are_a_resource_limit():
+    # Gamma(201) overflows a double; alpha's constant for the same weight does not
+    assert check_condition(LogPower(200.0), "alpha").holds
+    with pytest.raises(ResourceLimitError, match="logpow:200"):
+        check_condition(LogPower(200.0), "beta")
+    # c = 2^-1100 underflows, so a^-p is out of range as well
+    with pytest.raises(ResourceLimitError, match="root:2:logpow:1100"):
+        check_condition(parse_weight("root:2:logpow:1100"), "alpha")
+
+
+def _mp_phi(w):
+    # phi(s) = omega(e^s) in mpmath arithmetic, from the family's formula
+    if isinstance(w, Gevrey):
+        return lambda s: mpmath.exp(s / w.d)
+    if isinstance(w, LogPower):
+        return lambda s: s ** w.p if s > 0 else mpmath.mpf(0)
+    base = _mp_phi(w.base)
+    return lambda s: base(s / w.a)
 
 
 def _mp_omega(w):
-    # omega in mpmath arithmetic, from the family's formula
-    if isinstance(w, Gevrey):
-        return lambda t: t ** (mpmath.mpf(1) / w.d)
-    if isinstance(w, LogPower):
-        return lambda t: mpmath.log(t) ** w.p if t > 1 else mpmath.mpf(0)
-    base = _mp_omega(w.base)
-    return lambda t: base(t ** (mpmath.mpf(1) / w.a))
+    phi = _mp_phi(w)
+    return lambda t: phi(mpmath.log(t))
 
 
 @pytest.mark.parametrize(
@@ -204,3 +269,82 @@ def test_derivatives_match_mpmath(spec):
             r1, r2 = (float(mpmath.diff(om, t, n)) for n in (1, 2))
             assert a1 == pytest.approx(r1, rel=1e-12, abs=1e-300), (spec, t)
             assert a2 == pytest.approx(r2, rel=1e-12, abs=1e-300), (spec, t)
+
+
+@st.composite
+def table_weights(draw):
+    if draw(st.booleans()):
+        w = Gevrey(draw(st.floats(min_value=1.0, max_value=10.0, exclude_min=True)))
+    else:
+        w = LogPower(draw(st.floats(min_value=1.0, max_value=6.0, exclude_min=True)))
+    a = draw(st.none() | st.floats(min_value=1.0, max_value=4.0))
+    return w if a is None else RootComposed(w, a)
+
+
+def _le(lhs, rhs):
+    # the constants are doubles: allow for their rounding, nothing more
+    return lhs <= rhs * (1 + mpmath.mpf(1e-12))
+
+
+def _first_violation(violated):
+    # the first s = 2^j at which violated(s) holds, or None
+    return next((s for s in (mpmath.mpf(2) ** j for j in range(200)) if violated(s)), None)
+
+
+@given(
+    table_weights(),
+    st.floats(min_value=-5.0, max_value=60.0),
+    st.floats(min_value=-5.0, max_value=60.0),
+    st.floats(min_value=1.0, max_value=1e6),
+)
+@settings(max_examples=40, deadline=None)
+def test_condition_table_against_mpmath(w, s, r, big):
+    # s = log t and r = log y are the drawn points and big a drawn H or C;
+    # omega is evaluated in mpmath from the family's formula, at 30 digits
+    phi = _mp_phi(w)
+    rep = {x.condition: x for x in check_all_conditions(w)}
+    kind, index, c = normal_form(w)
+    gevrey = kind == "gevrey"
+    assert {k: x.verdict for k, x in rep.items()} == {
+        "alpha": "holds", "beta": "holds", "gamma": "holds", "delta": "holds",
+        "epsilon": "holds", "zeta": "holds" if gevrey else "fails",
+        "logcond": "fails" if gevrey else "holds",
+        "subadditive": "holds" if gevrey else "fails",
+    }
+    with mpmath.workdps(30):
+        s, r, big = mpmath.mpf(s), mpmath.mpf(r), mpmath.mpf(big)
+        log2 = mpmath.log(2)
+        expected = mpmath.exp(s / index) if gevrey else c * max(s, 0) ** index
+        assert phi(s) == pytest.approx(expected, rel=1e-12)  # the normal form is w
+
+        big_l = rep["alpha"].constants["L"]
+        assert _le(phi(s + log2), big_l * (phi(s) + 1))
+
+        beta = rep["beta"].constants["integral"]
+        assert beta == pytest.approx(_mp_gevrey_beta(index) if gevrey else c * _logpower_beta(index), rel=1e-12)
+
+        assert phi(s) <= (phi(s - 1) + phi(s + 1)) / 2  # delta: phi is convex
+
+        # epsilon: integral_1^inf omega(y t)/t^2 dt = integral_0^inf phi(r + x) e^-x dx,
+        # with x = z/k so that the Gevrey integrand decays like e^-z
+        k = 1 - mpmath.mpf(1) / index if gevrey else 1
+        kink = max(-r, 0) * k  # log-power: y e^x = 1
+        integral = mpmath.quad(lambda z: phi(r + z / k) * mpmath.exp(-z / k) / k, [0, kink, mpmath.inf])
+        assert _le(integral, rep["epsilon"].constants["C"] * (1 + phi(r)))
+
+        if gevrey:
+            big_h = rep["zeta"].constants["H"]
+            assert _le(2 * phi(s), phi(s + mpmath.log(big_h)) + big_h)
+            # omega(s + t) <= omega(s) + omega(t), here at t = e^s and e^r
+            assert _le(phi(mpmath.log(mpmath.exp(s) + mpmath.exp(r))), phi(s) + phi(r))
+            # logcond fails: omega(t^2) > C (1 + omega(t)) somewhere, for C = big
+            assert _first_violation(lambda u: phi(2 * u) > big * (1 + phi(u))) is not None
+        else:
+            assert _le(phi(2 * s), rep["logcond"].constants["C"] * (1 + phi(s)))
+            t1, t2 = rep["subadditive"].counterexample
+            assert phi(mpmath.log(t1 + t2)) > phi(mpmath.log(t1)) + phi(mpmath.log(t2))
+            # zeta fails: 2 omega(t) > omega(H t) + H at some t = e^k, for H = big
+            assert _first_violation(lambda u: 2 * phi(u) > phi(u + mpmath.log(big)) + big) is not None
+            # alpha's L is the ratio at u* = (c log 2)^(-1/(p-1)), so it is sharp
+            u_star = (c * log2) ** (-1 / (mpmath.mpf(index) - 1))
+            assert phi(u_star + log2) / (phi(u_star) + 1) == pytest.approx(big_l, rel=1e-12)

@@ -72,9 +72,11 @@ def test_repelling_constants_closed_form():
 
 
 def test_q_linear_bound_gevrey():
-    # sqrt(t) / t peaks at t = 1, so Q is the 1.05 safety factor itself
-    q = q_linear_bound(G2)
-    assert 1.0 <= q <= 1.1
+    # sqrt(t) / t peaks at t = 1, and (log t)^2 / t at log t = 2
+    assert q_linear_bound(G2) == 1.0
+    assert q_linear_bound(LogPower(2.0)) == pytest.approx(4.0 / math.e ** 2, rel=1e-15)
+    with pytest.raises(ResourceLimitError, match="logpow:200"):
+        q_linear_bound(LogPower(200.0))  # (200/e)^200 is past the double range
 
 
 # ----------------------------------------------------------------- witnesses
