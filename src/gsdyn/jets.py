@@ -246,33 +246,44 @@ def _jet_from_grid(model: FunctionModel, x: float, order: int) -> Jet:
 
 
 def _gaussian_grid(scale: float, xs: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Derivatives of exp(-(scale x)^2) via the Hermite three-term recurrence."""
+    """Derivatives of exp(-(scale x)^2) via the Hermite three-term recurrence.
+
+    The recurrence runs row by row, writing h_n(scale x) straight into logs[n];
+    signs and logs are then taken over the whole table at once."""
     u = scale * xs
     n_pts = xs.shape[0]
-    signs = np.zeros((order + 1, n_pts), dtype=np.int8)
-    logs = np.full((order + 1, n_pts), ls.NEG_INF)
+    signs = np.empty((order + 1, n_pts), dtype=np.int8)
+    logs = np.empty((order + 1, n_pts))
     # an inner value past the double range makes these rows inf or NaN;
     # seminorms._jets refuses NaN jets with a typed error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         base = -u * u
-        log_scale = math.log(scale)
-        signs[0] = 1
-        logs[0] = base
-        if order == 0:
-            return signs, logs
-        h_prev = np.ones(n_pts)
-        h = 2.0 * u
-        off = np.zeros(n_pts)
-        for n in range(1, order + 1):
-            nz = h != 0.0
-            signs[n, nz] = (np.sign(h[nz]) * (-1) ** n).astype(np.int8)
-            logs[n, nz] = n * log_scale + np.log(np.abs(h[nz])) + off[nz] + base[nz]
-            h_prev, h = h, 2.0 * u * h - 2.0 * n * h_prev
-            big = np.abs(h) > _RENORM
+        two_u, h_prev, off, offs = 2.0 * u, np.ones(n_pts), np.zeros(n_pts), None
+        logs[1:2] = two_u  # no such row at order 0
+        for n in range(1, order):
+            h, nxt = logs[n], logs[n + 1]
+            np.multiply(two_u, h, out=nxt)
+            nxt -= 2.0 * n * h_prev
+            big = np.abs(nxt) > _RENORM
+            h_prev = h
             if big.any():
-                h[big] /= _RENORM
-                h_prev[big] /= _RENORM
+                h_prev = np.where(big, h / _RENORM, h)
+                nxt[big] /= _RENORM
                 off[big] += _LOG_RENORM
+                if offs is None:  # offs[k] is the log offset of row first + k
+                    first, offs = n + 1, np.zeros((order - n, n_pts))
+            if offs is not None:
+                offs[n + 1 - first] = off
+        body = logs[1:]
+        np.sign(body, out=signs[1:], casting="unsafe")
+        signs[1::2] *= -1
+        np.log(np.abs(body, out=body), out=body)
+        body += (np.arange(1, order + 1) * math.log(scale))[:, None]
+        if offs is not None:
+            logs[first:] += offs
+        body += base
+    signs[0] = 1
+    logs[0] = base
     return signs, logs
 
 

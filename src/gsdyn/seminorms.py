@@ -5,7 +5,10 @@ M doubles from M_INIT while the ring of cells next to the cut (j+q >= M-2)
 comes within a factor EPS_TAIL of the best cell; this ring check is a
 heuristic, not a tail bound.  Every search fills one (m+1) x (m+1) table of
 cells (j, q): the best point of each on a log-symmetric grid, times its index
-factor.  A safeguarded Newton iteration on the log-derivative then refines the
+factor.  When every row of the jet and spatial tables is its own mirror image,
+only the grid's middle column and those before it are searched; this is exact,
+since a maximum past the middle has an equal, earlier one at its mirror column.
+A safeguarded Newton iteration on the log-derivative then refines the
 leading cells of that table in lockstep, on the order-(j+2) jets of the same
 grid_jets evaluation: each cell stops on its own once its Newton step is a few
 ulps, no point left in its bracket can raise its value past rounding, or its
@@ -25,7 +28,7 @@ import numpy as np
 
 from .conjugate import young_conjugate
 from .errors import ConfigurationError, DomainError, InconclusiveError, ResourceLimitError
-from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated
+from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated, _check_order
 from .weights import Weight
 
 NEG_INF = float("-inf")
@@ -77,7 +80,8 @@ class SeminormSpec:
 
     def log_factors(self, m: int) -> np.ndarray:
         """table[j, q] = log of the index factor for j+q <= m (expq: q = 0 only),
-        -inf elsewhere; one Young conjugate per order n <= m."""
+        -inf elsewhere; one Young conjugate per order n <= m (jet-order cap first)."""
+        _check_order(m)
         j, q = np.indices((m + 1, m + 1))
         if self.family == "gevreyseq":
             lg = np.array([math.lgamma(i + 1) for i in range(m + 1)])
@@ -231,15 +235,24 @@ def _grid_cells(
     m = len(factors) - 1
     _, jlogs = _jets(model, xs, m)
     spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
+    cols = _columns(jlogs, spatial)
     top = np.full(factors.shape, NEG_INF)
     idx = np.zeros(factors.shape, dtype=np.intp)
     for j in range(m + 1):
-        block = jlogs[j] + spatial[: m - j + 1]  # row q is the cell (j, q)
+        block = jlogs[j, :cols] + spatial[: m - j + 1, :cols]  # row q is the cell (j, q)
         i = np.argmax(block, axis=1)
         idx[j, : len(i)] = i
         top[j, : len(i)] = block[np.arange(len(i)), i]
     x = np.where(top == NEG_INF, xs[len(xs) // 2], xs[idx])
     return top + factors, x, idx
+
+
+def _columns(jlogs: np.ndarray, spatial: np.ndarray) -> int:
+    """Leading grid columns that hold every row's first maximum: up to the middle
+    one if every row of both tables is its own mirror image, else all."""
+    half = jlogs.shape[1] // 2
+    mirror = all(np.array_equal(t[:, :half], t[:, :half:-1]) for t in (jlogs, spatial))
+    return half + 1 if mirror else jlogs.shape[1]
 
 
 def _rank(vals: np.ndarray, js: np.ndarray, qs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -336,3 +336,13 @@ def test_deg2_float_overflow_exits_3(capsys):
         err = capsys.readouterr().err
         assert err.startswith("inconclusive:") and err.count("\n") == 1
         assert "are NaN from order" in err
+
+
+def test_truncation_past_the_jet_cap_exits_3(capsys):
+    # the cap is checked before the (m+1) x (m+1) table is built, so a huge
+    # --m is the same typed limit as 513, not a MemoryError
+    for model in ("gauss:1", "jet:0:0=1"):
+        for m in ("513", "100000"):
+            argv = ["seminorm", "--model", model, "--weight", "gevrey:2", "--m", m]
+            assert main(argv) == 3
+            assert "jet order capped at 512 (got %s)" % m in capsys.readouterr().err

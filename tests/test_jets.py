@@ -259,3 +259,58 @@ def test_composed_float_overflow_is_a_resource_limit():
     model = Composed(Gaussian(1.0), Polynomial.of([0, 10**400]))
     with pytest.raises(ResourceLimitError, match="order 0 overflows a float"):
         model.grid_jets(np.array([0.5]), 4)
+
+
+def _masked_gaussian_grid(scale, xs, order):
+    # reference: the per-row masked Hermite loop that takes each row's sign and
+    # log as it goes; also reports whether a renormalization happened
+    u = scale * xs
+    n_pts = xs.shape[0]
+    signs = np.zeros((order + 1, n_pts), dtype=np.int8)
+    logs = np.full((order + 1, n_pts), -math.inf)
+    renormed = False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        base = -u * u
+        log_scale = math.log(scale)
+        signs[0] = 1
+        logs[0] = base
+        h_prev = np.ones(n_pts)
+        h = 2.0 * u
+        off = np.zeros(n_pts)
+        for n in range(1, order + 1):
+            nz = h != 0.0
+            signs[n, nz] = (np.sign(h[nz]) * (-1) ** n).astype(np.int8)
+            logs[n, nz] = n * log_scale + np.log(np.abs(h[nz])) + off[nz] + base[nz]
+            h_prev, h = h, 2.0 * u * h - 2.0 * n * h_prev
+            big = np.abs(h) > 1e250
+            if big.any() and n < order:
+                renormed = True
+            h[big] /= 1e250
+            h_prev[big] /= 1e250
+            off[big] += math.log(1e250)
+    return signs, logs, renormed
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 17, 128, 256, 512])
+@pytest.mark.parametrize("grid", ["search", "wide", "random", "one-point", "extreme"])
+def test_gaussian_grid_bit_identical_to_masked_loop(order, grid):
+    # whole-table signs and logs reproduce the per-row masked loop to the bit:
+    # values, -inf and NaN positions, and the sign bits of NaNs
+    from gsdyn.jets import _gaussian_grid
+    from gsdyn.seminorms import _grid
+
+    xs = {
+        "search": _grid(12.0, 2048),
+        "wide": _grid(400.0, 256),
+        "random": np.random.default_rng(order).normal(scale=20.0, size=64),
+        "one-point": np.array([0.0]),
+        "extreme": np.array([1e200, -1e160, math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300]),
+    }[grid]
+    for scale in (1e-3, 1.0, 40.0):
+        want_signs, want_logs, renormed = _masked_gaussian_grid(scale, xs, order)
+        signs, logs = _gaussian_grid(scale, xs, order)
+        assert np.array_equal(signs, want_signs)
+        assert np.array_equal(logs, want_logs, equal_nan=True)
+        assert np.array_equal(np.signbit(logs), np.signbit(want_logs))
+        if grid == "wide" and order == 256 and scale == 1.0:
+            assert renormed  # the offset rows are exercised

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gsdyn.conjugate import young_conjugate
 from gsdyn.errors import ConfigurationError, InconclusiveError
-from gsdyn.jets import Gaussian, PrescribedJet, Scaled, Translated, parse_model
+from gsdyn.jets import FunctionModel, Gaussian, PrescribedJet, Scaled, Translated, parse_model
 from gsdyn.seminorms import (
     SearchSpec,
     SeminormSpec,
@@ -344,3 +344,97 @@ def test_nan_jets_are_a_resource_limit():
     with np.errstate(all="ignore"), pytest.raises(ResourceLimitError) as err:
         eval_seminorm(model, SeminormSpec("plainp", G2))
     assert str(err.value).endswith("1:gauss:1 are NaN from order 0 on this grid")
+
+
+def _brute_cells(model, spec, xs, factors):
+    # reference: every cell's first argmax over the whole grid
+    m = len(factors) - 1
+    _, jlogs = model.grid_jets(xs, m)
+    spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
+    top = np.full(factors.shape, -math.inf)
+    idx = np.zeros(factors.shape, dtype=np.intp)
+    for j in range(m + 1):
+        for q in range(min(m - j + 1, len(spatial))):
+            row = jlogs[j] + spatial[q]
+            idx[j, q] = int(np.argmax(row))
+            top[j, q] = row[idx[j, q]]
+    x = np.where(top == -math.inf, xs[len(xs) // 2], xs[idx])
+    return top + factors, x, idx
+
+
+class _TableModel(FunctionModel):
+    """A fixed table of jet logs on one grid, for crafted ties."""
+
+    def __init__(self, logs):
+        self.logs = logs
+
+    def grid_jets(self, xs, order):
+        return np.ones_like(self.logs, dtype=np.int8), self.logs
+
+
+def _tied_table(m, n_pts, asymmetric=False):
+    # small integers, so rows tie often; the positive half mirrors the negative
+    rng = np.random.default_rng(5)
+    half = rng.integers(-2, 3, size=(m + 1, n_pts // 2)).astype(float)
+    middle = rng.integers(-2, 3, size=(m + 1, 1)).astype(float)
+    logs = np.hstack([half, middle, half[:, ::-1]])
+    if asymmetric:
+        logs[3, -2] += 7.0
+    return logs
+
+
+@pytest.mark.parametrize(
+    "name, half_grid",
+    [("gauss:1", True), ("scaled:-2:gauss:1", True), ("comp:0,0,1:gauss:1", True),
+     ("shift:1.5:gauss:1", False), ("tied", True), ("tied-asymmetric", False)],
+)
+@pytest.mark.parametrize("family", ["plainp", "expq", "gevreyseq"])
+def test_grid_cells_match_full_grid_tabulation(monkeypatch, name, half_grid, family):
+    # tabulating only up to the middle column of a mirror-symmetric table gives
+    # the full tabulation's values, arguments and indices; the half path must
+    # actually fire on the symmetric models, so the saving cannot vanish silently
+    import gsdyn.seminorms as S
+
+    m, points = 24, 256
+    spec = {
+        "plainp": SeminormSpec("plainp", G2, lam=2.0),
+        "expq": SeminormSpec("expq", G2, mu=0.5),
+        "gevreyseq": SeminormSpec("gevreyseq", mu=2.0, s=1.5),
+    }[family]
+    if name.startswith("tied"):
+        model = _TableModel(_tied_table(m, points, asymmetric=name.endswith("asymmetric")))
+        xs = S._grid(10.0, points)
+    else:
+        model = parse_model(name)
+        xs = S._grid(default_radius(model, m), points)
+    widths = []
+    real = S._columns
+    monkeypatch.setattr(S, "_columns", lambda *tables: widths.append(real(*tables)) or widths[-1])
+    factors = spec.log_factors(m)
+    got = S._grid_cells(model, spec, xs, factors)
+    want = _brute_cells(model, spec, xs, factors)
+    assert widths == [points // 2 + 1 if half_grid else points + 1]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_jet_order_cap_is_checked_before_the_table(monkeypatch):
+    # a truncation order past the jet cap fails before its m + 1 conjugates
+    # and (m+1) x (m+1) index table are built
+    import gsdyn.seminorms as S
+    from gsdyn.errors import ResourceLimitError
+
+    def fail(*args):
+        raise AssertionError("a Young conjugate was computed")
+
+    monkeypatch.setattr(S, "young_conjugate", fail)
+    spec = SeminormSpec("plainp", G2)
+    calls = [
+        lambda: eval_seminorm(Gaussian(1.0), spec, SearchSpec(m=100000)),
+        lambda: eval_seminorm(PrescribedJet.of(0, {0: 1}), spec, SearchSpec(m=100000)),
+        lambda: attainment_matrix(Gaussian(1.0), spec, 100000),
+        lambda: SeminormSpec("gevreyseq").log_factors(513),
+    ]
+    for call in calls:
+        with pytest.raises(ResourceLimitError, match=r"jet order capped at 512 \(got (100000|513)\)"):
+            call()
