@@ -123,8 +123,10 @@ def fixed_point_jets(psi: Polynomial, x0, order: int) -> List[Jet]:
 
     Since psi(x0) = x0, the jet of psi^(m+1) is psi's own jet composed with
     that of psi^m (truncated power series composition), so the iterates of
-    degree deg(psi)^m are never formed.  A non-fixed x0 fails the centre check
-    of `compose_jet` (DomainError) once order >= 2.
+    degree deg(psi)^m are never formed.  psi's jet has deg(psi) + 1 nonzero
+    Taylor terms, and Horner starts at its top one: deg(psi) Horner steps per
+    layer, whatever the order.  A non-fixed x0 fails the centre check of
+    `compose_jet` (DomainError) once order >= 2.
     """
     base = jet_of_polynomial(psi, x0, order)
     jets = [base]
@@ -149,10 +151,12 @@ def _taylor_slogs(jet: Jet, order: int) -> List[SLog]:
 def _compose_series(f_t: Sequence, p_t: Sequence, order: int, mul=operator.mul, total=sum) -> list:
     """Taylor coefficients of f(p(t)) to `order` from those of f and of p; p_t[0]
     is ignored (f is expanded at p(0)).  Horner in f: acc <- f_k + acc * (p - p_0),
-    each coefficient summed with i ascending.  The arithmetic is the caller's:
+    each coefficient summed with i ascending.  Horner starts at f_t's last entry,
+    so f_t may end at f's top nonzero term: the result has order + 1 entries,
+    or just [f_t[0]] when f_t has one.  The arithmetic is the caller's:
     Fractions, (sign, log) pairs with slog_mul/slog_sum, or numpy rows."""
-    acc = [f_t[order]]
-    for k in range(order - 1, -1, -1):
+    acc = [f_t[-1]]
+    for k in range(len(f_t) - 2, -1, -1):
         acc = [f_t[k]] + [
             total(mul(acc[i], p_t[n - i]) for i in range(min(n, len(acc))))
             for n in range(1, order + 1)
@@ -171,9 +175,13 @@ def compose_jet(f: Jet, psi: Jet, order: int) -> Jet:
     if f.exact is not None and psi.exact is not None:
         if f.center != psi.exact[0]:
             raise DomainError("outer jet is not centered at psi(center)")
-        f_t = [f.exact[n] / math.factorial(n) for n in range(order + 1)]
+        # Horner from f's top nonzero Taylor term: a polynomial's jet has
+        # deg + 1 of them, whatever the order
+        top = max((n for n in range(order + 1) if f.exact[n]), default=0)
+        f_t = [f.exact[n] / math.factorial(n) for n in range(top + 1)]
         p_t = [psi.exact[n] / math.factorial(n) for n in range(order + 1)]
         c = _compose_series(f_t, p_t, order)
+        c += [Fraction(0)] * (order + 1 - len(c))
         return Jet.from_exact(psi.center, [c[n] * math.factorial(n) for n in range(order + 1)])
     c = _compose_series(
         _taylor_slogs(f, order), _taylor_slogs(psi, order), order, ls.slog_mul, ls.slog_sum

@@ -1,18 +1,20 @@
 """Exact univariate polynomials: iteration, fixed points, affine normal forms.
 
 A Polynomial's coefficients are Fractions.  Fixed-point classification is
-the hypothesis of the growth theorems, so root isolation is done with exact
-sign counts (Sturm chains) and rational bisection; no floating root finder
-is involved.  Isolation reads only signs, so it runs on integer primitive
-forms: Sturm chains by primitive pseudo-remainders, and signs at rational
-points by homogeneous Horner over ints.  x^2 + 1/4 and x^2 + 0.2500001 must
-land on different sides.
+the hypothesis of the growth theorems, so roots are isolated with exact sign
+counts (Sturm chains) and rational bisection, and refined by quadratic
+interval refinement: a secant only guesses which subinterval holds the root,
+and exact signs at its ends confirm it.  Isolation reads only signs, so it
+runs on integer primitive forms: Sturm chains by primitive pseudo-remainders,
+and values at rational points n/d as d^deg p(n/d) by Horner over ints.
+x^2 + 1/4 and x^2 + 0.2500001 must land on different sides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -186,6 +188,15 @@ def normal_form_degree1(psi: Polynomial) -> NormalForm:
 # --------------------------------------------------------------------------
 
 
+def _float(x: Fraction, point: Fraction) -> float:
+    """float(x), or a ResourceLimitError naming the fixed point it belongs to."""
+    try:
+        return float(x)
+    except OverflowError:
+        near = format(Decimal(point.numerator) / Decimal(point.denominator), ".10g")
+        raise ResourceLimitError("fixed point at %s: a value overflows a float" % near) from None
+
+
 @dataclass(frozen=True)
 class FixedPoint:
     location: Union[Fraction, Tuple[Fraction, Fraction]]
@@ -195,10 +206,8 @@ class FixedPoint:
 
     @property
     def value(self) -> float:
-        if self.exact:
-            return float(self.location)
-        lo, hi = self.location
-        return float((lo + hi) / 2)
+        mid = self.location if self.exact else (self.location[0] + self.location[1]) / 2
+        return _float(mid, mid)
 
 
 @dataclass(frozen=True)
@@ -274,14 +283,30 @@ def _square_free(a: List[int]) -> List[int]:
     return q if (q[-1] > 0) == (a[-1] > 0) else [-c for c in q]
 
 
-def _sign_at(a: Sequence[int], x: Fraction) -> int:
-    """The sign of a(x), from d^deg(a) a(n/d) for x = n/d by homogeneous Horner."""
-    n, d = x.numerator, x.denominator
-    acc, dk = a[-1], 1
+def _homogenize(a: Sequence[int], d: int) -> List[int]:
+    """The coefficients c_i d^(deg - i): their polynomial at n is d^deg a(n/d)."""
+    out, dk = [a[-1]], 1
     for c in reversed(a[:-1]):
         dk *= d
-        acc = acc * n + c * dk
-    return (acc > 0) - (acc < 0)
+        out.append(c * dk)
+    return out[::-1]
+
+
+def _horner(a: Sequence[int], n: int) -> int:
+    """a(n) over ints: the one exact evaluation behind every sign."""
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * n + c
+    return acc
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_at(a: Sequence[int], x: Fraction) -> int:
+    """The sign of a(x), from d^deg(a) a(n/d) for x = n/d."""
+    return _sign(_horner(_homogenize(a, x.denominator), x.numerator))
 
 
 def _variations(chain: Sequence[List[int]], x: Fraction) -> int:
@@ -333,26 +358,70 @@ def _isolate_roots(p: List[int]) -> List[Tuple[Fraction, Fraction]]:
 
 
 def _refine(p: List[int], lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
-    """Bisect the sign change in (lo, hi] down to the requested width."""
-    slo = _sign_at(p, lo)
+    """The cell (lo + i w, lo + (i+1) w] of (lo, hi] that holds the one root
+    of p there, w = (hi - lo) / 2^k for the least k with w <= width; (g, g)
+    when the root is a grid point g strictly inside.  Bisection gives the
+    same result; `hi` may be a root and is never evaluated.
+
+    Quadratic interval refinement (Abbott 2006): a bracket (a, b] of grid
+    points is split into N parts.  The secant through the exact values at a
+    and b guesses the part that holds the root, and the exact signs at its
+    two ends confirm it: N is squared on success, and on failure one plain
+    bisection step is taken and N is square-rooted.  The guess only picks an
+    index, so every bracket is certified by signs.  Until the right end has a
+    known value (b < hi), the steps are bisections."""
+    k = 0 if hi - lo <= width else (math.ceil((hi - lo) / width) - 1).bit_length()
+    # grid point j is (base + j span) / d; every value is d^deg p there
+    c = math.lcm(lo.denominator, hi.denominator)
+    base = lo.numerator * (c // lo.denominator)
+    span = hi.numerator * (c // hi.denominator) - base
+    base, d = base << k, c << k
+    scaled = _homogenize(p, d)
+
+    def value(j: int) -> int:
+        return _horner(scaled, base + j * span)
+
+    def point(j: int) -> Fraction:
+        return Fraction(base + j * span, d)
+
+    fa = value(0)
+    slo = _sign(fa)
     if slo == 0:  # lo is -bound, a probe that is not a root, or a wall-off end
         raise VerificationError("refinement interval endpoint is a root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = _sign_at(p, mid)
-        if sm == 0:
-            return (mid, mid)
-        if sm == slo:
-            lo = mid
+    # (a, b] holds the root, N = 2^s; fb is None while b is hi
+    a, b, fb, s = 0, 1 << k, None, 2
+    while b - a > 1:
+        h, seen = b - a, {}
+        if fb is not None:
+            step = h >> min(s, h.bit_length() - 1)
+            lft = a + (h // step) * fa // (fa - fb) * step  # fa, fb differ in sign
+            rgt = lft + step
+            for j in (lft, rgt):
+                if a < j < b:
+                    seen[j] = value(j)
+                    if seen[j] == 0:
+                        return (point(j), point(j))
+            f_lft, f_rgt = seen.get(lft, fa), seen.get(rgt, fb)
+            if _sign(f_lft) == slo != _sign(f_rgt):
+                a, b, fa, fb, s = lft, rgt, f_lft, f_rgt, 2 * s
+                continue
+            s = max(s // 2, 1)
+        # one bisection step; the midpoint may be an end just evaluated
+        mid = a + h // 2
+        fm = seen[mid] if mid in seen else value(mid)
+        if fm == 0:
+            return (point(mid), point(mid))
+        if _sign(fm) == slo:
+            a, fa = mid, fm
         else:
-            hi = mid
-    return (lo, hi)
+            b, fb = mid, fm
+    return (point(a), point(b))
 
 
 def _snap_rational(p: List[int], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     mid = (lo + hi) / 2
     for den_cap in (1, 10, 10 ** 3, 10 ** 6, 10 ** 9):
-        cand = Fraction(float(mid)).limit_denominator(den_cap)
+        cand = mid.limit_denominator(den_cap)
         if lo < cand <= hi and _sign_at(p, cand) == 0:
             return cand
     return None
@@ -384,7 +453,8 @@ def _kind_near_one(
 
 
 def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
-    """All real solutions of psi(x) = x, classified by |psi'|."""
+    """All real solutions of psi(x) = x in ascending order (that of their
+    isolating intervals), classified by |psi'|."""
     if psi.degree < 1:
         raise DomainError("fixed points need deg(psi) >= 1")
     r = psi - Polynomial.x()
@@ -401,15 +471,16 @@ def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
         if exact_root is not None:
             mult = abs(dpsi(exact_root))
             kind = "repelling" if mult > 1 else ("neutral" if mult == 1 else "attracting")
-            out.append(FixedPoint(exact_root, float(mult), kind, True))
+            out.append(FixedPoint(exact_root, _float(mult, exact_root), kind, True))
             continue
         # irrational root: classify at the midpoint, exactly when the float is ambiguous
-        mult = abs(float(dpsi((lo + hi) / 2)))
+        mid = (lo + hi) / 2
+        mult = abs(_float(dpsi(mid), mid))
         if abs(mult - 1.0) > 1e-9:
             kind = "repelling" if mult > 1 else "attracting"
         else:
             kind, lo, hi = _kind_near_one(r_sf, dpsi, lo, hi)
-            mult = 1.0 if kind == "neutral" else abs(float(dpsi((lo + hi) / 2)))
+            mid = (lo + hi) / 2
+            mult = 1.0 if kind == "neutral" else abs(_float(dpsi(mid), mid))
         out.append(FixedPoint((lo, hi), mult, kind, False))
-    out.sort(key=lambda fp: fp.value)
     return out

@@ -166,6 +166,17 @@ def test_poly_fixed_points_and_normal_form():
     assert json.loads(r.stdout)["kind"] == "dilation"
 
 
+def test_poly_fixed_points_past_the_float_range(capsys):
+    # 10^300 is snapped from the exact midpoint, so it comes out exact;
+    # 10^400 is found too, but its value is past the float range
+    assert main(["--format", "json", "poly", "fixed-points", "--psi", "-1e300,2"]) == 0
+    (p,) = json.loads(capsys.readouterr().out)["fixed_points"]
+    assert p["exact"] and p["location"] == str(10 ** 300) and p["value"] == 1e300
+    assert main(["poly", "fixed-points", "--psi", "-1e400,2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "inconclusive: fixed point at 1.000000000e+400: a value overflows a float\n"
+
+
 def test_poly_iterate():
     r = run_cli("poly", "iterate", "--psi", "0,0,1", "--m", "3", "--format", "json")
     assert r.returncode == 0

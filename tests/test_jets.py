@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsdyn import jets as jets_module
 from gsdyn.errors import DomainError, ResourceLimitError
 from gsdyn.jets import (
     Composed,
@@ -132,6 +134,45 @@ def test_fixed_point_jets_match_iterates(alpha, x0, c):
     assert len(jets) == 6 and jets[0].exact[1] == alpha
     for m in range(1, 7):
         assert jets[m - 1].exact == jet_of_polynomial(iterate(psi, m), x0, 6).exact
+
+
+taylor = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=2, max_size=5
+)
+
+
+@given(taylor, taylor, st.integers(min_value=0, max_value=16), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_sparse_outer_jets_match_the_partition_sum(outer, inner, order, flat_outer, flat_inner):
+    # polynomials of degree <= 4 given by their Taylor coefficients at the
+    # point, so f'(y0) = 0 and g'(x0) = 0 are drawn on purpose; the exact
+    # track's Horner starts at f's top nonzero term
+    outer[1] *= not flat_outer
+    inner[1] *= not flat_inner
+    x0 = Fraction(1, 3)
+    g = Polynomial.of(inner).compose(Polynomial.of([-x0, 1]))
+    y0 = g(x0)
+    f = Polynomial.of(outer).compose(Polynomial.of([-y0, 1]))
+    fj, gj = jet_of_polynomial(f, y0, order), jet_of_polynomial(g, x0, order)
+    assert compose_jet(fj, gj, order).exact == compose_jet_partitions(fj, gj, order).exact
+
+
+def test_fixed_point_jets_of_a_quadratic_run_two_horner_steps_per_layer(monkeypatch):
+    # each Horner step sums `order` coefficients
+    steps = []
+    series = jets_module._compose_series
+
+    def spy(f_t, p_t, order, mul=operator.mul, total=sum):
+        sums = []
+        out = series(f_t, p_t, order, mul, lambda terms: sums.append(1) or total(terms))
+        steps.append(len(sums) / order)
+        return out
+
+    monkeypatch.setattr(jets_module, "_compose_series", spy)
+    psi = Polynomial.parse("111/25,-39/10,1")  # fixes 6/5 with multiplier -3/2
+    jets = fixed_point_jets(psi, Fraction(6, 5), 12)
+    assert steps == [2] * 11
+    assert jets[4].exact == jet_of_polynomial(iterate(psi, 5), Fraction(6, 5), 12).exact
 
 
 def test_fixed_point_jets_cubic_and_non_fixed_point():

@@ -1,20 +1,26 @@
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gsdyn import polynomials
-from gsdyn.errors import DomainError, ResourceLimitError
+from gsdyn.errors import DomainError, ResourceLimitError, VerificationError
 from gsdyn.polynomials import (
     AllPointsFixed,
     FixedPoint,
     Polynomial,
     _derivative,
     _int_form,
+    _isolate_roots,
     _prem,
+    _refine,
     _sign_at,
+    _square_free,
     _sturm_chain,
     _trim,
     conjugate_by,
@@ -308,6 +314,15 @@ def test_irrational_neutral_points_stay_neutral():
     assert _contains(pts[0].location, 2, -1) and _contains(pts[1].location, 2, 1)
 
 
+def test_fixed_points_past_the_float_range():
+    (p,) = fixed_points(Polynomial.parse("-1e400,2"))
+    assert p.exact and p.location == 10 ** 400 and p.multiplier == 2.0
+    with pytest.raises(ResourceLimitError, match=r"fixed point at 1.000000000e\+400"):
+        p.value
+    with pytest.raises(ResourceLimitError, match="overflows a float"):
+        fixed_points(Polynomial.parse("-1e400,1e400"))  # its multiplier is 10^400
+
+
 def test_normal_form_dilation():
     nf = normal_form_degree1(Polynomial.parse("3,2"))  # 2x + 3
     assert nf.kind == "dilation" and nf.a == 2
@@ -346,3 +361,143 @@ def test_conjugation_round_trip(alpha, beta, coeffs):
     psi = Polynomial.of(coeffs)
     back = conjugate_by(conjugate_by(psi, ell), inverse)
     assert back == psi
+
+
+# --------------------------------------------------------------------------
+# _refine against the bisection it replaces
+# --------------------------------------------------------------------------
+
+
+def _bisect(p, lo, hi, width, count=None):
+    """The bisection loop _refine's result is defined by; count[0] tallies
+    its exact sign evaluations."""
+    count = [0] if count is None else count
+    count[0] += 1
+    slo = _sign_at(p, lo)
+    if slo == 0:
+        raise VerificationError("refinement interval endpoint is a root")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        count[0] += 1
+        sm = _sign_at(p, mid)
+        if sm == 0:
+            return (mid, mid)
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except VerificationError as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_like_bisection(p, lo, hi, width):
+    expected = _outcome(_bisect, p, lo, hi, width)
+    assert _outcome(_refine, p, lo, hi, width) == expected
+    return expected
+
+
+def _refine_calls(monkeypatch, psi):
+    """The (p, lo, hi, width) of every _refine call fixed_points(psi) makes."""
+    calls = []
+    refine = polynomials._refine
+    monkeypatch.setattr(polynomials, "_refine", lambda *a: calls.append(a) or refine(*a))
+    fixed_points(psi)
+    monkeypatch.setattr(polynomials, "_refine", refine)
+    return calls
+
+
+def _bench_quadratics():
+    """The exact-dynamics benchmark's quadratics, each with its mirror image."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(wl)
+    return [wl.quadratic(alpha, s * x0, s * c) for alpha, x0, c in wl.EXACT_SLOTS for s in (1, -1)]
+
+
+@given(
+    st.lists(st.integers(min_value=-40, max_value=40), min_size=2, max_size=9),
+    st.integers(min_value=1, max_value=2 ** 80),
+)
+@settings(max_examples=60, deadline=None)
+def test_refine_matches_bisection_on_square_free_forms(coeffs, divisor):
+    p = _int_form(Polynomial.of(coeffs))
+    assume(len(p) >= 2)
+    p = _square_free(p)
+    for lo, hi in _isolate_roots(p):
+        _assert_like_bisection(p, lo, hi, (hi - lo) / divisor)
+        _assert_like_bisection(p, lo, hi, Fraction(1, 10 ** 13))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_refine_matches_bisection_on_the_bench_iterates(monkeypatch, m):
+    for psi in _bench_quadratics():
+        for p, lo, hi, width in _refine_calls(monkeypatch, iterate(psi, m)):
+            _assert_like_bisection(p, lo, hi, width)
+
+
+@pytest.mark.parametrize("lo, hi", [(Fraction(0), Fraction(1)), (Fraction(-3, 7), Fraction(5, 3))])
+@pytest.mark.parametrize("k", [0, 1, 5, 12])
+def test_refine_on_roots_at_grid_points(lo, hi, k):
+    # p = (x - g)(x^2 + 1) with g on the level-j grid of (lo, hi]: a root
+    # strictly inside is returned as (g, g) when it is on the level-k grid,
+    # and a root at hi (never evaluated) lies in the top level-k cell
+    w = (hi - lo) / 2 ** k
+    for j in (0, 1, 3, k, k + 1, k + 3):
+        for i in range(1, 2 ** j + 1, max(1, 2 ** j // 7)):
+            g = lo + i * (hi - lo) / 2 ** j
+            p = _int_form(Polynomial.of([-g, 1]) * Polynomial.of([1, 0, 1]))
+            got = _assert_like_bisection(p, lo, hi, w)
+            if g == hi:
+                assert got == (hi - w, hi)
+            elif ((g - lo) / w).denominator == 1:
+                assert got == (g, g)
+            else:
+                assert got[0] < g < got[1] == got[0] + w
+
+
+def test_refine_on_wide_widths_and_root_ends():
+    p = _int_form(Polynomial.of([-3, 0, 1]))  # roots +-sqrt 3
+    for width in (Fraction(2), Fraction(3), Fraction(100)):
+        assert _assert_like_bisection(p, Fraction(0), Fraction(2), width) == (0, 2)
+    p = _int_form(Polynomial.of([-1, 0, 1]))  # roots +-1
+    for width in (Fraction(5), Fraction(1, 8)):
+        got = _assert_like_bisection(p, Fraction(1), Fraction(3), width)
+        assert got == (VerificationError, "refinement interval endpoint is a root")
+
+
+def test_refine_matches_bisection_on_near_neutral_halvings(monkeypatch):
+    # _kind_near_one halves the interval one _refine call at a time
+    eps = Fraction(1, 10 ** 14)
+    calls = _refine_calls(monkeypatch, Polynomial.of([Fraction(1, 4) - eps * eps, 0, 1]))
+    halvings = [c for c in calls if c[3] == (c[2] - c[1]) / 2]
+    assert len(halvings) == 6
+    for call in calls:
+        _assert_like_bisection(*call)
+
+
+def test_refine_matches_bisection_on_a_huge_interval(monkeypatch):
+    # 2x - 10^300 fixes 10^300: its isolating interval is 2 (10^300 + 1) wide
+    (call,) = _refine_calls(monkeypatch, Polynomial.parse("-1e300,2"))
+    assert call[2] - call[1] > 10 ** 300
+    _assert_like_bisection(*call)
+
+
+def test_refine_halves_the_evaluations_on_the_bench_iterates(monkeypatch):
+    # every exact value _refine reads goes through _horner
+    calls = [c for psi in _bench_quadratics() for c in _refine_calls(monkeypatch, iterate(psi, 5))]
+    bisection = [0]
+    for call in calls:
+        _bisect(*call, count=bisection)
+    evaluations = []
+    horner = polynomials._horner
+    monkeypatch.setattr(polynomials, "_horner", lambda *a: evaluations.append(1) or horner(*a))
+    for call in calls:
+        _refine(*call)
+    assert len(evaluations) <= bisection[0] // 2
