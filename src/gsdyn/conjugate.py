@@ -1,10 +1,11 @@
 """Young conjugates of phi(t) = omega(e^t).
 
-Every family's conjugate is exact: a Gevrey-reducible phi(t) = e^(t/d) gives
-x d log(x d / e) on x >= 1/d and -1 below (the sup sits at t = 0 there), a
-log-power phi(t) = t^p gives (p - 1) (x / p)^(p / (p - 1)), and a root
-phi(t) = phi_base(t / a) gives phi_base*(a x).  The oracle (method="numeric")
-is a fixed-step golden-section maximisation of t -> x t - phi(t).
+Both families' conjugates are exact: a Gevrey phi(t) = e^(t/d) gives
+x d log(x d / e) on x >= 1/d and -1 below (the sup sits at t = 0 there), and
+a log-power phi(t) = (t / scale)^p gives (p - 1) (scale x / p)^(p / (p - 1)).
+A root weight needs no case of its own: it was folded into d or the scale
+when it was built.  The oracle (method="numeric") is a fixed-step
+golden-section maximisation of t -> x t - phi(t).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import BoundaryHitError, DomainError, ResourceLimitError
-from .weights import Gevrey, LogPower, RootComposed, Weight, gevrey_index
+from .weights import Gevrey, Weight, gevrey_index
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -21,16 +22,12 @@ T_MAX = 100.0  # first right end of that bracket, doubled while the sup lies bey
 
 
 def phi(w: Weight, t: float) -> float:
-    """phi_omega(t) = omega(e^t), evaluated without forming e^t when possible."""
+    """phi_omega(t) = omega(e^t), evaluated without forming e^t."""
     if t < 0:
         raise DomainError("phi is used on t >= 0, got %r" % (t,))
     if isinstance(w, Gevrey):
         return math.exp(t / w.d)
-    if isinstance(w, LogPower):
-        return t ** w.p
-    if isinstance(w, RootComposed):
-        return phi(w.base, t / w.a)
-    return w(math.exp(t))
+    return (t / w.scale) ** w.p
 
 
 def _closed_form(w: Weight, x: float) -> float:
@@ -40,14 +37,10 @@ def _closed_form(w: Weight, x: float) -> float:
         if xd <= 1.0:
             return -1.0
         return xd * math.log(xd / math.e)
-    if isinstance(w, LogPower):
-        try:
-            return (w.p - 1.0) * (x / w.p) ** (w.p / (w.p - 1.0))
-        except OverflowError:
-            raise ResourceLimitError("conjugate of %s at x=%g overflows" % (w.spec(), x)) from None
-    if isinstance(w, RootComposed):
-        return _closed_form(w.base, w.a * x)
-    raise DomainError("no closed-form conjugate for weight %s" % w.spec())
+    try:
+        return (w.p - 1.0) * (w.scale * x / w.p) ** (w.p / (w.p - 1.0))
+    except OverflowError:
+        raise ResourceLimitError("conjugate of %s at x=%g overflows" % (w.spec(), x)) from None
 
 
 def _golden_max(f, a: float, b: float) -> float:

@@ -1,9 +1,10 @@
 """Weight functions and their defining conditions, decided per family.
 
-Every weight has one of two normal forms (`normal_form`): Gevrey t^(1/d),
-d > 1, or log-power c (log+ t)^p, p > 1, with c = 1 for LogPower(p).  root:a
-makes them t^(1/(d a)) and c a^(-p) (log+ t)^p; nested roots multiply.  Each
-condition is a formula on the normal form:
+There are two families: Gevrey t^(1/d), d > 1, and log-power
+(log+ t / scale)^p, p > 1, whose normal form (`normal_form`) is c (log+ t)^p
+with c = scale^(-p).  A root t -> omega(t^(1/a)) is folded into its family
+when it is built (`RootComposed`): d becomes d a, or scale becomes scale a,
+so nested roots multiply.  Each condition is a formula on the normal form:
 
   condition                               Gevrey t^(1/d)       c (log+ t)^p
   alpha    omega(2t) <= L (omega(t) + 1)  L = 2^(1/d)          L = S(log 2)
@@ -26,7 +27,7 @@ enough constant.  A constant past the double range raises ResourceLimitError.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -58,9 +59,10 @@ class Weight:
 
 @dataclass(frozen=True, repr=False)
 class Gevrey(Weight):
-    """omega(t) = t**(1/d), d > 1."""
+    """omega(t) = t**(1/d), d > 1; `literal` is the root spec folded into d, if any."""
 
     d: float
+    literal: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not 1 < self.d < math.inf:
@@ -75,91 +77,70 @@ class Gevrey(Weight):
         return d1, (e - 1.0) * d1 / t
 
     def spec(self) -> str:
-        return "gevrey:" + number_literal(self.d)
+        return self.literal or "gevrey:" + number_literal(self.d)
 
 
 @dataclass(frozen=True, repr=False)
 class LogPower(Weight):
-    """omega(t) = max(0, log t)**p, p > 1."""
+    """omega(t) = max(0, log t / scale)**p, p > 1, scale >= 1; `literal` as for Gevrey."""
 
     p: float
+    scale: float = 1.0
+    literal: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not 1 < self.p < math.inf:
             raise DomainError("log-power exponent must be finite and > 1, got %r" % (self.p,))
+        if not 1 <= self.scale < math.inf:
+            raise DomainError("log-power scale must be finite and >= 1, got %r" % (self.scale,))
 
     def _eval(self, t: float) -> float:
         if t <= 1.0:
             return 0.0
         try:
-            return math.log(t) ** self.p
+            return (math.log(t) / self.scale) ** self.p
         except OverflowError:
             raise ResourceLimitError("%s at t=%g overflows" % (self.spec(), t)) from None
 
     def derivatives(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # zero on t <= 1; with u = log t past it, p u^(p-1)/t and p u^(p-2)(p-1-u)/t^2
+        # zero on t <= 1; with u = log t and v = u / scale past it,
+        # p v^(p-1)/(scale t) and p v^(p-2)(p-1-u)/(scale t)^2
         u = np.log(np.maximum(t, 1.0))
+        v, st = u / self.scale, self.scale * t
         with np.errstate(divide="ignore", invalid="ignore"):
-            d1 = np.where(t > 1.0, self.p * u ** (self.p - 1.0) / t, 0.0)
-            d2 = np.where(t > 1.0, self.p * u ** (self.p - 2.0) * (self.p - 1.0 - u) / t**2, 0.0)
+            d1 = np.where(t > 1.0, self.p * v ** (self.p - 1.0) / st, 0.0)
+            d2 = np.where(t > 1.0, self.p * v ** (self.p - 2.0) * (self.p - 1.0 - u) / st**2, 0.0)
         return d1, d2
 
     def spec(self) -> str:
-        return "logpow:" + number_literal(self.p)
+        inner = "logpow:" + number_literal(self.p)
+        root = "root:%s:%s" % (number_literal(self.scale), inner)
+        return self.literal or (inner if self.scale == 1.0 else root)
 
 
-@dataclass(frozen=True, repr=False)
-class RootComposed(Weight):
-    """omega(t) = base(t**(1/a)), a >= 1."""
-
-    base: Weight
-    a: float
-
-    def __post_init__(self):
-        if not 1 <= self.a < math.inf:
-            raise DomainError("root exponent must be finite and >= 1, got %r" % (self.a,))
-
-    def _eval(self, t: float) -> float:
-        return self.base(t ** (1.0 / self.a))
-
-    def derivatives(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # chain rule through s = t^(1/a): base'(s) s' and base''(s) s'^2 + base'(s) s''
-        e = 1.0 / self.a
-        s1 = e * t ** (e - 1.0)
-        b1, b2 = self.base.derivatives(t**e)
-        return b1 * s1, b2 * s1 * s1 + b1 * (e - 1.0) * s1 / t
-
-    def spec(self) -> str:
-        return "root:%s:%s" % (number_literal(self.a), self.base.spec())
-
-
-def sigma_transform(w: Weight, a: float) -> Weight:
-    """The target-space weight t -> w(t**(1/a)); identity when a == 1."""
-    if a < 1:
-        raise DomainError("sigma transform requires a >= 1, got %r" % (a,))
-    if a == 1:
-        return w
-    return RootComposed(w, float(a))
+def RootComposed(base: Weight, a: float) -> Weight:
+    """t -> base(t**(1/a)), a >= 1: base's family with d a or scale a; spec root:<a>:<base>."""
+    if not 1 <= a < math.inf:
+        raise DomainError("root exponent must be finite and >= 1, got %r" % (a,))
+    literal = "root:%s:%s" % (number_literal(a), base.spec())
+    folded = {"d": base.d * a} if isinstance(base, Gevrey) else {"scale": base.scale * a}
+    if math.inf in folded.values():
+        raise ResourceLimitError("%s: the folded index overflows a double" % literal)
+    return replace(base, literal=literal, **folded)
 
 
 def normal_form(w: Weight) -> Tuple[str, float, float]:
     """(kind, index, c): ("gevrey", d, 1.0) when w is t**(1/d), or
-    ("logpower", p, c) when w is c * max(0, log t)**p.  Past the double
-    range of a^p, c underflows to 0.0."""
+    ("logpower", p, scale**-p) when w is (log+ t / scale)**p.  Past the
+    double range of scale^p, c underflows to 0.0."""
     if isinstance(w, Gevrey):
         return "gevrey", w.d, 1.0
-    if isinstance(w, LogPower):
-        return "logpower", w.p, 1.0
-    kind, index, c = normal_form(w.base)  # w is a RootComposed
-    if kind == "gevrey":
-        return kind, index * w.a, c
-    return kind, index, c * w.a ** -index
+    return "logpower", w.p, w.scale ** -w.p
 
 
 def gevrey_index(w: Weight) -> Optional[float]:
     """Effective Gevrey index when w reduces to t**(1/d), else None."""
-    kind, index, _ = normal_form(w)
-    return index if kind == "gevrey" else None
+    return w.d if isinstance(w, Gevrey) else None
 
 
 def parse_weight(text: str) -> Weight:

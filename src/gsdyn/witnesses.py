@@ -34,7 +34,7 @@ from .jets import (
 )
 from .polynomials import Polynomial, iterate
 from .seminorms import SearchSpec, SeminormSpec, attainment_matrix, eval_seminorm
-from .weights import Gevrey, Weight, check_condition, normal_form, sigma_transform
+from .weights import Gevrey, RootComposed, Weight, check_condition, normal_form
 
 LOG2 = math.log(2.0)
 NEG_INF = float("-inf")
@@ -441,11 +441,7 @@ def witness_repelling(
 
 def falling_factorial_2m(m: int, j: int) -> int:
     """2^m (2^m - 1) ... (2^m - j + 1), exactly."""
-    out = 1
-    base = 1 << m
-    for i in range(j):
-        out *= base - i
-    return out
+    return math.perm(1 << m, j)
 
 
 def witness_square(s: float, lam: float, m_max: int) -> GrowthSeries:
@@ -561,7 +557,7 @@ def witness_deg2_topologizable(
     if not check_condition(w, "subadditive").holds:
         raise DomainError("weight must be sub-additive for the deg >= 2 construction")
     mu = 2.0 * lam
-    sigma = sigma_transform(w, a)
+    sigma = RootComposed(w, a)
     f = Gaussian(1.0)
     den = eval_seminorm(f, SeminormSpec("plainp", w, lam=mu))
     spec_num = SeminormSpec("plainp", sigma, lam=lam)

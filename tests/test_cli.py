@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import gsdyn.cli as cli
@@ -78,6 +79,14 @@ def test_usage_error_exits_2(tmp_path):
         ["witness", "delta", "--a", "inf"],
         ["witness", "fourier", "--b", "nan"],
         ["witness", "fourier", "--b", "inf"],
+        ["witness", "dilation", "--a", "0"],
+        ["witness", "dilation", "--k", "3", "--h", "2"],
+        ["witness", "deg2", "--psi", "0,1"],
+        ["witness", "deg2", "--a", "2"],
+        ["witness", "deg2", "--weight", "logpower:2"],  # not sub-additive
+        ["witness", "repelling", "--psi", "0,0,1", "--x0", "2"],  # not a fixed point
+        ["witness", "repelling", "--psi", "0,0,1", "--x0", "0"],  # attracting
+        ["witness", "translation", "--m-max", "0"],
         # a seminorm parameter the family does not read
         seminorm + ["gauss:1", "--mu", "5"],
         seminorm + ["gauss:1", "--family", "globalp", "--mu", "5"],
@@ -357,3 +366,59 @@ def test_truncation_past_the_jet_cap_exits_3(capsys):
             argv = ["seminorm", "--model", model, "--weight", "gevrey:2", "--m", m]
             assert main(argv) == 3
             assert "jet order capped at 512 (got %s)" % m in capsys.readouterr().err
+
+
+def test_seminorm_inconclusive_paths_exit_3(capsys):
+    # eval_seminorm's two reachable InconclusiveErrors, each with its message
+    for argv, message in (
+        (["seminorm", "--model", "gauss:1", "--weight", "gevrey:2", "--m", "4"],
+         "attainment too close to the truncation cut j+q <= 4"),
+        (["witness", "rho", "--model", "gauss:1", "--weight", "logpower:3", "--lam", "2", "--m", "1"],
+         "truncation cap 256 reached without a tail certificate"),
+    ):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == "inconclusive: %s\n" % message
+
+
+# weight literal -> (exit code, first word of stderr) of weight-check,
+# conjugate --x 1 and the plainp and expq seminorms of gauss:1.  A root folds
+# into d or the log scale when it is built, so one check covers every command
+WEIGHT_CORPUS = {
+    "gevrey:2": (0, ""),
+    "logpow:2": (0, ""),
+    "root:3:gevrey:2": (0, ""),
+    "root:3:logpow:2": (0, ""),
+    "root:2:root:3:logpow:2": (0, ""),
+    "root:1e300:logpow:2": (3, "inconclusive:"),  # its constants and conjugates overflow
+    "root:1e300:root:1e300:gevrey:2": (3, "inconclusive:"),  # d a overflows
+    "root:1e300:root:1e300:logpow:2": (3, "inconclusive:"),  # scale a overflows
+    "root:inf:gevrey:2": (2, "error:"),
+}
+
+
+def test_weight_corpus_exit_codes(capsys):
+    commands = (
+        ["weight-check"],
+        ["conjugate", "--x", "1"],
+        ["seminorm", "--model", "gauss:1", "--family", "plainp"],
+        ["seminorm", "--model", "gauss:1", "--family", "expq"],
+    )
+    for spec, (code, word) in WEIGHT_CORPUS.items():
+        for command in commands:
+            assert main(command + ["--weight", spec]) == code, (spec, command)
+            err = capsys.readouterr().err
+            assert (err.split() or [""])[0] == word, (spec, command, err)
+    # a message names the weight as written, at the x given
+    assert main(["conjugate", "--weight", "root:1e300:logpow:2", "--x", "1"]) == 3
+    assert capsys.readouterr().err == "inconclusive: conjugate of root:1e+300:logpow:2 at x=1 overflows\n"
+    assert main(["weight-check", "--weight", "root:1e300:root:1e300:gevrey:2"]) == 3
+    assert "root:1e+300:root:1e+300:gevrey:2" in capsys.readouterr().err
+
+
+def test_iterate_past_the_work_cap_exits_3(capsys):
+    # degree 2^12 = 4096 is inside the degree cap, but the coefficients would
+    # run to tens of thousands of bits: refused before any expansion
+    start = time.perf_counter()
+    assert main(["poly", "iterate", "--psi", "111/25,-39/10,1", "--m", "12"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the work cap" in capsys.readouterr().err

@@ -54,6 +54,20 @@ def test_iterate_degree_cap():
         iterate(X2, 13)  # degree 8192 over the default cap
 
 
+def test_iterate_work_cap():
+    # the cost is predicted from psi's degree and height before expanding:
+    # x^2 keeps 1-bit coefficients at degree 4096, and 2x^2 stays a monomial,
+    # but this quadratic's coefficients double per step (degree 256 at m = 8
+    # is 0.3 s, 2^10 would be 16 s)
+    psi = Polynomial.parse("111/25,-39/10,1")
+    assert iterate(psi, 8).degree == 256
+    assert iterate(X2, 12).degree == 4096
+    assert iterate(Polynomial.of([0, 0, 2]), 12).coeffs[-1] == 2 ** 4095
+    for m in (10, 12):
+        with pytest.raises(ResourceLimitError, match="work cap"):
+            iterate(psi, m)
+
+
 small_coeffs = st.lists(
     st.integers(min_value=-3, max_value=3), min_size=1, max_size=4
 )

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdyn.errors import ConfigurationError, ResourceLimitError
+from gsdyn.errors import ConfigurationError, DomainError, ResourceLimitError
+from gsdyn.logspace import number_literal
 from gsdyn.weights import (
     CONDITIONS,
     Gevrey,
@@ -17,7 +19,6 @@ from gsdyn.weights import (
     gevrey_index,
     normal_form,
     parse_weight,
-    sigma_transform,
 )
 
 
@@ -35,10 +36,23 @@ def test_logpower_values():
 
 
 def test_root_composed_is_sigma_transform():
-    w = sigma_transform(Gevrey(2.0), 3.0)
-    assert isinstance(w, RootComposed)
-    assert w(64.0) == pytest.approx(Gevrey(2.0)(4.0))
-    assert gevrey_index(w) == pytest.approx(6.0)
+    # the root folds into the Gevrey index and keeps the literal it was written as
+    w = RootComposed(Gevrey(2.0), 3.0)
+    assert isinstance(w, Gevrey) and w.d == 6.0 and gevrey_index(w) == 6.0
+    assert w.spec() == "root:3:gevrey:2"
+    for t in (1e-3, 0.5, 64.0, 1e12):
+        assert w(t) == pytest.approx(Gevrey(2.0)(t ** (1.0 / 3.0)), rel=1e-15, abs=0.0)
+
+
+def test_logpower_scale_prints_as_a_root():
+    # omega = (log+ t / scale)^p; a scale given directly prints as the root it is
+    w = LogPower(2.0, 6.0)
+    assert w.spec() == "root:6:logpow:2" and parse_weight(w.spec()) == w
+    assert normal_form(w) == ("logpower", 2.0, 1.0 / 36.0)
+    assert w(math.e ** 12) == pytest.approx(4.0, rel=1e-15)
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            LogPower(2.0, bad)
 
 
 def test_gevrey_index_plain():
@@ -56,18 +70,28 @@ def test_parse_weight_round_trip():
 
 
 index_above_one = st.floats(min_value=1.0, max_value=1e300, exclude_min=True)
-any_weight = st.recursive(
+
+
+@given(
     st.builds(Gevrey, index_above_one) | st.builds(LogPower, index_above_one),
-    lambda inner: st.builds(RootComposed, inner, st.floats(min_value=1.0, max_value=1e300)),
-    max_leaves=4,
+    st.lists(st.floats(min_value=1.0, max_value=1e300), max_size=3),
 )
-
-
-@given(any_weight)
 @settings(max_examples=100, deadline=None)
-def test_spec_round_trips(w):
-    # Gevrey(1.23456789) and LogPower(1.000000001) once printed as other weights
+def test_spec_round_trips(w, roots):
+    # Gevrey(1.23456789) and LogPower(1.000000001) once printed as other
+    # weights.  Nested roots up to 1e300 multiply into d or the scale; a root
+    # whose product overflows a double is a typed limit naming its literal
+    for a in roots:
+        literal = "root:%s:%s" % (number_literal(a), w.spec())
+        if (w.d if isinstance(w, Gevrey) else w.scale) * a == math.inf:
+            for build in (lambda: RootComposed(w, a), lambda: parse_weight(literal)):
+                with pytest.raises(ResourceLimitError, match=re.escape(literal)):
+                    build()
+            return
+        w = RootComposed(w, a)
+        assert w.spec() == literal
     assert parse_weight(w.spec()) == w
+    assert parse_weight(w.spec()).spec() == w.spec()
 
 
 @given(st.floats(min_value=1.0, max_value=1e8), st.floats(min_value=1.0, max_value=1e8))
@@ -81,7 +105,7 @@ def test_gevrey_subadditive_property(t1, t2):
 @settings(max_examples=60, deadline=None)
 def test_weights_monotone(a, b):
     lo, hi = sorted((a, b))
-    for w in (Gevrey(2.0), LogPower(2.0), sigma_transform(Gevrey(2.0), 3.0)):
+    for w in (Gevrey(2.0), LogPower(2.0), RootComposed(Gevrey(2.0), 3.0)):
         assert w(lo) <= w(hi) + 1e-12
 
 
@@ -238,13 +262,21 @@ def test_constants_past_the_double_range_are_a_resource_limit():
 
 
 def _mp_phi(w):
-    # phi(s) = omega(e^s) in mpmath arithmetic, from the family's formula
-    if isinstance(w, Gevrey):
-        return lambda s: mpmath.exp(s / w.d)
-    if isinstance(w, LogPower):
-        return lambda s: s ** w.p if s > 0 else mpmath.mpf(0)
-    base = _mp_phi(w.base)
-    return lambda s: base(s / w.a)
+    # phi(s) = omega(e^s) in mpmath arithmetic, read off the spec literal as
+    # written (root:a divides s by a), not from the folded normal form
+    return _mp_phi_of_spec(w.spec())
+
+
+def _mp_phi_of_spec(spec):
+    head, _, rest = spec.partition(":")
+    if head == "root":
+        a_text, _, inner = rest.partition(":")
+        base, a = _mp_phi_of_spec(inner), mpmath.mpf(a_text)
+        return lambda s: base(s / a)
+    x = mpmath.mpf(rest)
+    if head == "gevrey":
+        return lambda s: mpmath.exp(s / x)
+    return lambda s: s ** x if s > 0 else mpmath.mpf(0)
 
 
 def _mp_omega(w):
@@ -253,9 +285,23 @@ def _mp_omega(w):
 
 
 @pytest.mark.parametrize(
+    "spec", ["root:3:logpow:2", "root:2:root:3:logpow:2", "root:1.7:logpow:3.5"]
+)
+def test_root_logpower_values_match_mpmath(spec):
+    # one log and one pow on the folded scale: within 1e-15 relative of a
+    # 40-digit omega(t) = phi(log t) read off the literal, on t in [1e-3, 1e12]
+    w = parse_weight(spec)
+    om = _mp_omega(w)
+    with mpmath.workdps(40):
+        for t in np.geomspace(1e-3, 1e12, 400).tolist():
+            exact = om(mpmath.mpf(t)) if t > 1.0 else mpmath.mpf(0)
+            assert w(t) == pytest.approx(float(exact), rel=1e-15, abs=0.0), (spec, t)
+
+
+@pytest.mark.parametrize(
     "spec",
     ["gevrey:1.5", "gevrey:2", "gevrey:3", "logpower:1.5", "logpower:2", "logpower:3",
-     "root:2:gevrey:2"],
+     "root:2:gevrey:2", "root:3:logpow:2"],
 )
 def test_derivatives_match_mpmath(spec):
     # omega' and omega'' against mpmath.diff of omega, on both sides of the
