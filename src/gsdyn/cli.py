@@ -1,8 +1,12 @@
 """Command-line interface: every operation as a subcommand, plus a suite runner.
 
 Reports are deterministic: JSON with sorted keys, CSV for plot series, or a
-short pretty text.  Exit codes: 0 success, 1 verdict mismatch, and otherwise
-the exit code of the error raised (see gsdyn.errors).
+short pretty text.  Exit codes: 0 success, 1 verdict mismatch, 141 a closed
+output pipe, and otherwise the exit code of the error raised (see gsdyn.errors).
+
+Only `seminorm`, `witness` and `suite` load the array engine (numpy, with
+jets, seminorms and witnesses); `conjugate`, `weight-check` and `poly` are
+exact or closed-form arithmetic and start without it.
 """
 
 from __future__ import annotations
@@ -10,21 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
-from importlib import resources
+from importlib import import_module, resources
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .conjugate import young_conjugate
 from .errors import (
     MISMATCH_EXIT,
+    PIPE_EXIT,
     RESOURCE_EXIT,
     USAGE_EXIT,
     ConfigurationError,
     DomainError,
     GsdynError,
 )
-from .jets import Gaussian, parse_model
 from .polynomials import (
     AllPointsFixed,
     Polynomial,
@@ -32,18 +37,22 @@ from .polynomials import (
     iterate,
     normal_form_degree1,
 )
-from .seminorms import FAMILIES, FAMILY_PARAMS, SearchSpec, SeminormSpec, eval_seminorm
-from .weights import CONDITIONS, check_all_conditions, check_condition, parse_weight
-from .witnesses import (
-    fourier_scaling_check,
-    rho_construction,
-    witness_deg2_topologizable,
-    witness_dilation_blowup,
-    witness_dilation_delta,
-    witness_repelling,
-    witness_square,
-    witness_translation,
-)
+from .weights import CONDITIONS, FAMILY_PARAMS, check_all_conditions, check_condition, parse_weight
+
+
+class _Engine:
+    """A module of the array engine, imported at its first attribute read, so
+    that only the commands that compute on arrays load numpy.  Each read goes
+    to the module, so rebinding a module's name reaches every call."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(import_module(self._name, __package__), attr)
+
+
+jets, seminorms, witnesses = _Engine(".jets"), _Engine(".seminorms"), _Engine(".witnesses")
 
 # --------------------------------------------------------------------------
 # output plumbing
@@ -83,6 +92,7 @@ def _emit(report: dict, args, csv_rows: Optional[List[str]] = None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside main
 
 
 def _pretty(report: dict, indent: int = 0) -> str:
@@ -141,18 +151,20 @@ def _series(series) -> Tuple[dict, str]:
 
 
 def _run_deg2(weight, a, psi, lam, m_max) -> Tuple[dict, str]:
-    rep = witness_deg2_topologizable(parse_weight(weight), a, Polynomial.parse(psi), lam, m_max)
+    rep = witnesses.witness_deg2_topologizable(
+        parse_weight(weight), a, Polynomial.parse(psi), lam, m_max)
     return rep.to_dict(), "finite" if rep.all_finite else "unbounded"
 
 
 def _run_delta(weight, a, delta, lam, m) -> Tuple[dict, str]:
-    rep = witness_dilation_delta(parse_weight(weight), a, delta, lam, m)
+    rep = witnesses.witness_dilation_delta(parse_weight(weight), a, delta, lam, m)
     payload = {"D": rep.d, "log_D": rep.log_d, "j_star": rep.j_star, "scanned": rep.scanned}
     return payload, "finite"
 
 
 def _run_rho(model, weight, lam, m, direction) -> Tuple[dict, str]:
-    rc = rho_construction(parse_model(model), parse_weight(weight), lam, m, direction)
+    rc = witnesses.rho_construction(
+        jets.parse_model(model), parse_weight(weight), lam, m, direction)
     payload = {
         "rho": rc.rho,
         "log_rho": rc.log_rho,
@@ -167,7 +179,7 @@ def _run_rho(model, weight, lam, m, direction) -> Tuple[dict, str]:
 def _run_fourier(scale, b, tol) -> Tuple[dict, str]:
     if not 0 < tol < math.inf:  # NaN fails this too
         raise DomainError("fourier tolerance must be finite and > 0, got %r" % (tol,))
-    rep = fourier_scaling_check(Gaussian(scale), b)
+    rep = witnesses.fourier_scaling_check(jets.Gaussian(scale), b)
     payload = {"b": rep.b, "max_error": rep.max_error, "eta_count": rep.eta_count}
     return payload, "pass" if rep.max_error < tol else "fail"
 
@@ -180,23 +192,24 @@ WITNESSES: Dict[str, Witness] = {
         dict(weight=Param(str, "gevrey:2"), lam=Param(float, 1.0), mu=Param(float, 1.0),
              model=Param(str, "gauss:1"), m_max=Param(int, 15)),
         lambda weight, lam, mu, model, m_max: _series(
-            witness_translation(parse_weight(weight), lam, mu, parse_model(model), m_max)),
+            witnesses.witness_translation(
+                parse_weight(weight), lam, mu, jets.parse_model(model), m_max)),
     ),
     "dilation": Witness(
         dict(weight=Param(str, "gevrey:2"), a=Param(float, 2.0), k=Param(float, 1.0),
              h=Param(float, 2.0), m=Param(int, 1), ell_max=Param(int, 8)),
         lambda weight, a, k, h, m, ell_max: _series(
-            witness_dilation_blowup(parse_weight(weight), a, k, h, m, ell_max)),
+            witnesses.witness_dilation_blowup(parse_weight(weight), a, k, h, m, ell_max)),
     ),
     "repelling": Witness(
         dict(psi=Param(str, "0,0,1"), x0=Param(str, "1"), d=Param(float, 2.0),
              lam=Param(float, 1.0), m_max=Param(int, 20)),
         lambda psi, x0, d, lam, m_max: _series(
-            witness_repelling(Polynomial.parse(psi), x0, d, lam, m_max)),
+            witnesses.witness_repelling(Polynomial.parse(psi), x0, d, lam, m_max)),
     ),
     "square": Witness(
         dict(s=Param(float, 2.0), lam=Param(float, 1.0), m_max=Param(int, 60)),
-        lambda s, lam, m_max: _series(witness_square(s, lam, m_max)),
+        lambda s, lam, m_max: _series(witnesses.witness_square(s, lam, m_max)),
     ),
     "deg2": Witness(
         dict(weight=Param(str, "gevrey:2"), a=Param(float, 3.0), psi=Param(str, "0,0,1"),
@@ -296,9 +309,10 @@ def _cmd_seminorm(args) -> int:
         )
     if "weight" in given:
         given["weight"] = parse_weight(args.weight)
-    spec = SeminormSpec(args.family, **given)
+    spec = seminorms.SeminormSpec(args.family, **given)
     search = _given(args, ("points", "radius", "m"))
-    rep = eval_seminorm(parse_model(args.model), spec, SearchSpec(**search))
+    model = jets.parse_model(args.model)
+    rep = seminorms.eval_seminorm(model, spec, seminorms.SearchSpec(**search))
     report = {
         "command": "seminorm",
         "config": {
@@ -486,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "Each family takes only its own parameter flags; any other exits 2. "
         + "; ".join("%s: --%s" % (f, " --".join(keys)) for f, keys in FAMILY_PARAMS.items())))
     p.add_argument("--model", required=True)
-    p.add_argument("--family", choices=FAMILIES, default="plainp")
+    p.add_argument("--family", choices=tuple(FAMILY_PARAMS), default="plainp")
     p.add_argument("--weight", default=None)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
@@ -587,7 +601,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GsdynError as exc:
         sys.stderr.write("%s: %s\n" % (exc.word, exc))
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the interpreter's
+        # last flush of what is still buffered does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_EXIT
+    except OSError as exc:  # --output or --config: missing, a directory, not permitted
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT
 

@@ -8,12 +8,13 @@ starts with:
     exit 3  "inconclusive"         ResourceLimitError, BoundaryHitError,
                                    InconclusiveError
 
-Exit 1 is also a verdict mismatch, and 0 is success.
+Exit 1 is also a verdict mismatch, 141 a closed output pipe, and 0 is success.
 """
 
 MISMATCH_EXIT = 1
 USAGE_EXIT = 2
 RESOURCE_EXIT = 3
+PIPE_EXIT = 141  # 128 + SIGPIPE: a shell's status for a writer whose pipe was closed
 
 
 class GsdynError(Exception):

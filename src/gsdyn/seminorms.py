@@ -29,7 +29,7 @@ import numpy as np
 from .conjugate import young_conjugate
 from .errors import ConfigurationError, DomainError, InconclusiveError, ResourceLimitError
 from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated, _check_order
-from .weights import Weight
+from .weights import FAMILY_PARAMS, Weight
 
 NEG_INF = float("-inf")
 _EPS = float(np.finfo(float).eps)
@@ -39,11 +39,6 @@ M_CAP = 256  # largest truncation order it may double to
 EPS_TAIL = 1e-12  # the ring next to the cut must stay below EPS_TAIL x best
 REFINE_ROUNDS = 64  # probe rounds per refinement at most; bisection alone reaches ulps in ~50
 REFINE_TOP = 6  # cells refined after the grid search
-
-# the parameters each family reads (see SeminormSpec); the CLI refuses any other
-FAMILY_PARAMS = {"plainp": ("weight", "lam"), "globalp": ("weight", "lam"),
-                 "expq": ("weight", "lam", "mu"), "gevreyseq": ("mu", "s")}
-FAMILIES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ class SeminormSpec:
     s: float = 2.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ConfigurationError("unknown seminorm family %r" % (self.family,))
         if self.family != "gevreyseq" and self.weight is None:
             raise ConfigurationError("family %r needs a weight" % (self.family,))

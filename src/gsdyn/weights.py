@@ -28,12 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import ConfigurationError, DomainError, GsdynError, ResourceLimitError
 from .logspace import number_literal
+
+if TYPE_CHECKING:  # numpy is imported only where arrays are computed on
+    import numpy as np
+
+# the parameters each seminorm family reads (seminorms.SeminormSpec); the CLI
+# refuses any other.  It lives here so that the CLI's parser needs no numpy.
+FAMILY_PARAMS = {"plainp": ("weight", "lam"), "globalp": ("weight", "lam"),
+                 "expq": ("weight", "lam", "mu"), "gevreyseq": ("mu", "s")}
+
 
 class Weight:
     """Base class; concrete families below. Instances are immutable."""
@@ -105,6 +112,8 @@ class LogPower(Weight):
     def derivatives(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # zero on t <= 1; with u = log t and v = u / scale past it,
         # p v^(p-1)/(scale t) and p v^(p-2)(p-1-u)/(scale t)^2
+        import numpy as np
+
         u = np.log(np.maximum(t, 1.0))
         v, st = u / self.scale, self.scale * t
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -192,7 +201,12 @@ def _sup_ratio(log_a: float, p: float, c: float) -> float:
     the sup sits at u* = (a c)^(-1/(p-1)), where 1/(c u*^p) = a/u* and the
     ratio is (1 + a/u*)^(p-1).  In logs, because u* overflows as p -> 1."""
     log_a_over_u = log_a + (log_a + math.log(c)) / (p - 1.0)
-    return math.exp((p - 1.0) * float(np.logaddexp(0.0, log_a_over_u)))
+    return math.exp((p - 1.0) * _log1p_exp(log_a_over_u))
+
+
+def _log1p_exp(x: float) -> float:
+    """log(1 + e^x) without overflow, as numpy's logaddexp(0, x) computes it."""
+    return x + LOG2 if x == 0 else max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
 def _dirichlet_beta(s: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from gsdyn.errors import (
     ResourceLimitError,
     VerificationError,
 )
-from gsdyn.seminorms import FAMILY_PARAMS
+from gsdyn.weights import FAMILY_PARAMS
 
 
 def run_cli(*args, config=None):
@@ -422,3 +423,23 @@ def test_iterate_past_the_work_cap_exits_3(capsys):
     assert main(["poly", "iterate", "--psi", "111/25,-39/10,1", "--m", "12"]) == 3
     assert time.perf_counter() - start < 1.0
     assert "exceeds the work cap" in capsys.readouterr().err
+
+
+def test_closed_output_pipe_exits_141():
+    # reports past and within one pipe buffer; the reader is gone before either is
+    # written, and stdout is block-buffered as it is on a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for psi, m in (("0,0,2", "12"), ("0,0,1", "1")):
+        argv = [sys.executable, "-m", "gsdyn.cli", "poly", "iterate", "--psi", psi, "--m", m]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_directory_as_output_or_config_exits_2(tmp_path):
+    for flag in ("--output", "--config"):
+        r = run_cli(flag, str(tmp_path), "poly", "iterate", "--psi", "0,0,1")
+        assert r.returncode == 2, (flag, r.stderr)
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr, (flag, r.stderr)

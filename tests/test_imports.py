@@ -1,12 +1,15 @@
 """Every name a package module imports is used in that module, every
-function, class and method the package defines is used by the package, and
-the package runs on numpy alone."""
+function, class and method the package defines is used by the package, the
+package runs on numpy alone, and the exact commands start without numpy."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from gsdyn.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gsdyn"
 
@@ -142,3 +145,38 @@ def test_cli_import_loads_no_scipy():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+EXACT_COMMANDS = [
+    ["conjugate", "--weight", "gevrey:2", "--x", "1", "--check"],
+    ["weight-check", "--weight", "logpow:2"],  # reaches the log-power S(a)
+    ["poly", "iterate", "--psi", "0,0,1", "--m", "3"],
+    ["poly", "fixed-points", "--psi", "0,0,1"],
+    ["poly", "normal-form", "--psi", "3,2"],
+]
+
+
+def test_exact_commands_load_no_numpy(capsys):
+    seminorm = ["--format", "json", "seminorm", "--model", "gauss:1", "--weight", "gevrey:2"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gsdyn.cli import main\n"
+        "runs = [('numpy' in sys.modules, 0, '')]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = main(argv)\n"
+        "    runs.append(('numpy' in sys.modules, code, out.getvalue()))\n"
+        "print(json.dumps(runs))\n"
+    )
+    argvs = json.dumps(EXACT_COMMANDS + [seminorm])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    r = subprocess.run(
+        [sys.executable, "-c", code, argvs], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert r.returncode == 0, r.stderr
+    runs = json.loads(r.stdout)
+    # after the import and each exact command: no numpy; the seminorm loads it
+    assert [(loaded, rc) for loaded, rc, _ in runs] == [(False, 0)] * 6 + [(True, 0)]
+    # and reports what a process that had numpy from the start reports
+    assert main(seminorm) == 0
+    assert runs[-1][2] == capsys.readouterr().out

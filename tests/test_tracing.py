@@ -8,7 +8,9 @@ class bodies; this loads it read-only and checks the refinement runs on
 import importlib.util
 from pathlib import Path
 
-from gsdyn import seminorms
+# Tracer.install wraps every module in its LAYERS, and the CLI loads the array
+# engine's modules (jets, seminorms, witnesses) only when a command needs them
+from gsdyn import seminorms, witnesses  # noqa: F401
 from gsdyn.jets import Gaussian
 from gsdyn.weights import Gevrey
 

@@ -14,6 +14,7 @@ from gsdyn.weights import (
     Gevrey,
     LogPower,
     RootComposed,
+    _log1p_exp,
     check_all_conditions,
     check_condition,
     gevrey_index,
@@ -394,3 +395,10 @@ def test_condition_table_against_mpmath(w, s, r, big):
             # alpha's L is the ratio at u* = (c log 2)^(-1/(p-1)), so it is sharp
             u_star = (c * log2) ** (-1 / (mpmath.mpf(index) - 1))
             assert phi(u_star + log2) / (phi(u_star) + 1) == pytest.approx(big_l, rel=1e-12)
+
+
+@given(st.floats(min_value=-800.0, max_value=800.0) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+@settings(max_examples=500, deadline=None)
+def test_log1p_exp_is_numpy_logaddexp_bit_for_bit(x):
+    # the log-power S(a) takes log(1 + e^x) bit for bit as numpy's logaddexp(0, x)
+    assert _log1p_exp(x).hex() == float(np.logaddexp(0.0, x)).hex()
