@@ -24,6 +24,7 @@ from .logspace import SLog, ZERO
 from .polynomials import Polynomial
 
 JET_ORDER_CAP = 512
+JET_TABLE_CAP = 1 << 23  # entries (order+1) x (points+1) of a grid jet table
 PARTITION_CAP = 60
 
 _RENORM = 1e250
@@ -245,6 +246,14 @@ def _check_order(order: int) -> None:
         raise DomainError("jet order must be >= 0")
     if order > JET_ORDER_CAP:
         raise ResourceLimitError("jet order capped at %d (got %d)" % (JET_ORDER_CAP, order))
+
+
+def _check_table(order: int, points: int) -> None:
+    """The jet-order cap, then the table cap, before a grid of points is built."""
+    _check_order(order)
+    if (order + 1) * (points + 1) > JET_TABLE_CAP:
+        raise ResourceLimitError("grid jet table capped at %d entries (got %d x %d)"
+                                 % (JET_TABLE_CAP, order + 1, points + 1))
 
 
 def _jet_from_grid(model: FunctionModel, x: float, order: int) -> Jet:

@@ -3,11 +3,14 @@
 The supremum over derivative/monomial orders (j, q) is cut off at j+q <= M.
 M doubles from M_INIT while the ring of cells next to the cut (j+q >= M-2)
 comes within a factor EPS_TAIL of the best cell; this ring check is a
-heuristic, not a tail bound.  Every search fills one (m+1) x (m+1) table of
-cells (j, q): the best point of each on a log-symmetric grid, times its index
-factor.  When every row of the jet and spatial tables is its own mirror image,
-only the grid's middle column and those before it are searched; this is exact,
-since a maximum past the middle has an equal, earlier one at its mirror column.
+heuristic, not a tail bound.  A cell (j, q) is its best point on a
+log-symmetric grid, times its index factor.  A search makes exact only the
+cells it reads, its REFINE_TOP best and the best of the ring; every other cell
+of its (M+1) x (M+1) table is proven smaller by a chunk bound and left -inf.
+Attainment matrices fill every cell.  When every row of the jet and spatial
+tables is its own mirror image, only the grid's middle column and those before
+it are searched; this is exact, since a maximum past the middle has an equal,
+earlier one at its mirror column.
 A safeguarded Newton iteration on the log-derivative then refines the
 leading cells of that table in lockstep, on the order-(j+2) jets of the same
 grid_jets evaluation: each cell stops on its own once its Newton step is a few
@@ -28,7 +31,8 @@ import numpy as np
 
 from .conjugate import young_conjugate
 from .errors import ConfigurationError, DomainError, InconclusiveError, ResourceLimitError
-from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated, _check_order
+from .jets import Composed, FunctionModel, Gaussian, PrescribedJet, Scaled, Translated
+from .jets import _check_order, _check_table
 from .weights import FAMILY_PARAMS, Weight
 
 NEG_INF = float("-inf")
@@ -39,6 +43,7 @@ M_CAP = 256  # largest truncation order it may double to
 EPS_TAIL = 1e-12  # the ring next to the cut must stay below EPS_TAIL x best
 REFINE_ROUNDS = 64  # probe rounds per refinement at most; bisection alone reaches ulps in ~50
 REFINE_TOP = 6  # cells refined after the grid search
+CHUNK = 32  # grid columns per chunk of a cell bound, and most cells per evaluated batch
 
 
 @dataclass(frozen=True)
@@ -220,26 +225,62 @@ Cells = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _grid_cells(
-    model: FunctionModel, spec: SeminormSpec, xs: np.ndarray, factors: np.ndarray
+    model: FunctionModel, spec: SeminormSpec, xs: np.ndarray, factors: np.ndarray, top=None
 ) -> Cells:
     """The best grid point of every cell with a finite factor (the others -inf).
 
-    A vanishing cell reports the middle of the grid: 0.0 on the symmetric
-    search grid, the center for a prescribed jet's one-point grid.
+    With `top` set, cells are evaluated in batches by descending chunk bound until
+    the next bound is below the `top`-th value, so ties are evaluated; then likewise
+    on the ring j+q >= m-2 against its best value.  The others stay -inf, with index
+    0.  A vanishing cell reports the middle of the grid: 0.0 on the symmetric search
+    grid, the center for a prescribed jet's one-point grid.
     """
     m = len(factors) - 1
     _, jlogs = _jets(model, xs, m)
     spatial = spec.spatial_log_rows(xs, m if spec.uses_q else 0)
     cols = _columns(jlogs, spatial)
-    top = np.full(factors.shape, NEG_INF)
-    idx = np.zeros(factors.shape, dtype=np.intp)
-    for j in range(m + 1):
-        block = jlogs[j, :cols] + spatial[: m - j + 1, :cols]  # row q is the cell (j, q)
+    best, idx = np.full(factors.shape, NEG_INF), np.zeros(factors.shape, dtype=np.intp)
+
+    def put(j, q, block):  # row k of block is the cell (j[k], q[k])
         i = np.argmax(block, axis=1)
-        idx[j, : len(i)] = i
-        top[j, : len(i)] = block[np.arange(len(i)), i]
-    x = np.where(top == NEG_INF, xs[len(xs) // 2], xs[idx])
-    return top + factors, x, idx
+        idx[j, q] = i
+        best[j, q] = block[np.arange(len(i)), i]
+
+    js, qs = np.nonzero(factors > NEG_INF)
+    bound = None if top is None else _cell_bounds(jlogs, spatial, cols, factors, js, qs)
+    if bound is None:
+        for j in range(m + 1):
+            block = jlogs[j, :cols] + spatial[: m - j + 1, :cols]  # row q is the cell (j, q)
+            put(j, slice(len(block)), block)
+    else:
+        order, vals = np.argsort(-bound, kind="stable"), np.full(len(js), NEG_INF)
+        batch = max(1, min(CHUNK, (m + 1) // 3))  # its three temporaries fit in a row block
+        for k, among in ((min(top, len(js)), np.full(len(js), True)), (1, js + qs >= m - 2)):
+            cells = order[among[order]]
+            for c in (cells[i : i + batch] for i in range(0, len(cells), batch)):
+                if bound[c[0]] < np.partition(vals[among], -k)[-k]:
+                    break
+                put(js[c], qs[c], jlogs[js[c], :cols] + spatial[qs[c], :cols])
+                vals[c] = best[js[c], qs[c]] + factors[js[c], qs[c]]
+    x = np.where(best == NEG_INF, xs[len(xs) // 2], xs[idx])
+    return best + factors, x, idx
+
+
+def _cell_bounds(jlogs, spatial, cols, factors, js, qs) -> Optional[np.ndarray]:
+    """Upper bounds of the cells (js, qs): over chunks of the first cols columns, the
+    largest jet plus spatial row chunk maximum, plus the index factor; rounding is
+    monotone, so none is below its cell's value.  None if one is NaN or +inf."""
+    edges = np.arange(0, cols, CHUNK)
+    jmax, smax = (np.maximum.reduceat(t[:, :cols], edges, axis=1).T for t in (jlogs, spatial))
+    raw = np.full(factors.shape, NEG_INF)
+    buf = np.empty((len(edges), min(CHUNK, len(raw)), smax.shape[1]))  # about a row block
+    with np.errstate(invalid="ignore"):
+        for j in range(0, len(raw), CHUNK):  # rows j.. and their cells j+q <= m
+            n, q = min(CHUNK, len(raw) - j), min(len(raw) - j, smax.shape[1])
+            sums = np.add(jmax[:, j : j + n, None], smax[:, None, :q], out=buf[:, :n, :q])
+            sums.max(axis=0, out=raw[j : j + n, :q])
+        bound = raw[js, qs] + factors[js, qs]
+        return bound if (bound < np.inf).all() else None
 
 
 def _columns(jlogs: np.ndarray, spatial: np.ndarray) -> int:
@@ -361,9 +402,10 @@ def eval_seminorm(
     radius = search.radius
     while True:
         r = radius if radius is not None else default_radius(model, m)
+        _check_table(m, search.points)
         xs = _grid(r, search.points)
         factors = spec.log_factors(m)
-        cells = _grid_cells(model, spec, xs, factors)
+        cells = _grid_cells(model, spec, xs, factors, REFINE_TOP)
         js, qs = _rank(cells[0], *np.nonzero(factors > NEG_INF))
         vals = cells[0][js, qs]
         if vals[0] == NEG_INF:
@@ -417,6 +459,7 @@ def attainment_matrix(
     if isinstance(model, PrescribedJet):
         raise DomainError("attainment matrices need a spatial model")
     r = search.radius if search.radius is not None else default_radius(model, m)
+    _check_table(m, search.points)
     xs = _grid(r, search.points)
     factors = spec.log_factors(m)
     cells = _grid_cells(model, spec, xs, factors)

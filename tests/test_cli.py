@@ -369,6 +369,18 @@ def test_truncation_past_the_jet_cap_exits_3(capsys):
             assert "jet order capped at 512 (got %s)" % m in capsys.readouterr().err
 
 
+def test_grid_past_the_table_cap_exits_3(capsys):
+    # an absurd --points is refused before the grid or its jet table is
+    # allocated (it was a 36 TiB MemoryError traceback), so it exits at once
+    argv = ["--format", "json", "seminorm", "--model", "gauss:1", "--weight", "gevrey:2",
+            "--points", "10000000000000"]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: grid jet table capped at") and "Traceback" not in err
+
+
 def test_seminorm_inconclusive_paths_exit_3(capsys):
     # eval_seminorm's two reachable InconclusiveErrors, each with its message
     for argv, message in (

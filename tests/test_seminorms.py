@@ -438,3 +438,192 @@ def test_jet_order_cap_is_checked_before_the_table(monkeypatch):
     for call in calls:
         with pytest.raises(ResourceLimitError, match=r"jet order capped at 512 \(got (100000|513)\)"):
             call()
+
+
+def test_grid_size_cap_is_checked_before_the_grid(monkeypatch):
+    # a grid whose jet table passes the entry cap is refused before it is built
+    import gsdyn.seminorms as S
+    from gsdyn.errors import ResourceLimitError
+
+    def fail(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(S, "_grid", fail)
+    spec = SeminormSpec("plainp", G2)
+    huge = SearchSpec(points=10**13)
+    for call in (lambda: eval_seminorm(Gaussian(1.0), spec, huge),
+                 lambda: attainment_matrix(Gaussian(1.0), spec, 16, huge)):
+        with pytest.raises(ResourceLimitError, match=r"capped at 8388608 entries \(got 17 x "):
+            call()
+
+
+SPECS = {
+    "plainp": SeminormSpec("plainp", G2, lam=2.0),
+    "globalp": SeminormSpec("globalp", LogPower(2.0), lam=1.0),
+    "expq": SeminormSpec("expq", G2, mu=0.5),
+    "gevreyseq": SeminormSpec("gevreyseq", mu=2.0, s=1.5),
+}
+
+
+class _TableSpec:
+    """Fixed spatial rows, so crafted tables can tie exactly after the sum."""
+
+    uses_q = True
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def spatial_log_rows(self, xs, m_max):
+        return self.rows[: m_max + 1]
+
+
+def _assert_pruned_exact(model, spec, xs, factors):
+    # the pruned table ranks the same REFINE_TOP cells first, with the brute
+    # force's values, arguments and indices, and has the same ring maximum;
+    # every cell it evaluated is exact, and every cell it left is below both
+    import gsdyn.seminorms as S
+
+    m = len(factors) - 1
+    got = S._grid_cells(model, spec, xs, factors, S.REFINE_TOP)
+    want = _brute_cells(model, spec, xs, factors)
+    cells = np.nonzero(factors > -math.inf)
+    js, qs = S._rank(got[0], *cells)
+    wjs, wqs = S._rank(want[0], *cells)
+    top = slice(S.REFINE_TOP)
+    assert np.array_equal(js[top], wjs[top]) and np.array_equal(qs[top], wqs[top])
+    for g, w in zip(got, want):
+        assert np.array_equal(g[js[top], qs[top]], w[js[top], qs[top]])
+    ring = cells[0] + cells[1] >= m - 2
+    assert np.max(got[0][cells][ring]) == np.max(want[0][cells][ring])
+    kept = got[0] > -math.inf
+    for g, w in zip(got, want):
+        assert np.array_equal(g[kept], w[kept])
+    left, vals = ~kept[cells], want[0][cells]
+    last = len(js[top]) - 1
+    assert ((vals[left] < want[0][wjs[last], wqs[last]]) | (vals[left] == -math.inf)).all()
+    assert ((vals[left & ring] < np.max(vals[ring])) | (vals[left & ring] == -math.inf)).all()
+    return got
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 16, 24])
+@pytest.mark.parametrize("family", ["plainp", "globalp", "expq", "gevreyseq"])
+@pytest.mark.parametrize(
+    "name", ["gauss:1", "scaled:-2:gauss:1", "comp:0,0,1:gauss:1", "shift:1.5:gauss:1",
+             "tied", "tied-asymmetric"],
+)
+def test_pruned_cells_match_full_grid_tabulation(name, family, m):
+    import gsdyn.seminorms as S
+
+    spec, points = SPECS[family], 256
+    if name.startswith("tied"):
+        model = _TableModel(_tied_table(m, points))
+        if name.endswith("asymmetric"):
+            model.logs[min(m, 3), -2] += 7.0
+        xs = S._grid(10.0, points)
+    else:
+        model = parse_model(name)
+        xs = S._grid(default_radius(model, m), points)
+    _assert_pruned_exact(model, spec, xs, spec.log_factors(m))
+
+
+def _crafted(m, points):
+    # zero tables and factors, to be filled with integers: every sum is exact,
+    # so cells tie exactly
+    logs = np.zeros((m + 1, points + 1))
+    rows = np.zeros((m + 1, points + 1))
+    factors = np.where(np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m, 0.0, -math.inf)
+    return logs, rows, factors
+
+
+def test_pruned_cells_evaluate_every_tie_at_the_top_value():
+    # five cells above a tie of 40 (more than one batch) at the REFINE_TOP-th
+    # value, whose first-ranked members (j+q = 12) are spread through the bound order
+    import gsdyn.seminorms as S
+
+    m, points = 24, 64
+    logs, rows, factors = _crafted(m, points)
+    factors[factors == 0.0] = -1.0
+    for j, q in [(0, 24), (1, 23), (2, 22), (3, 21), (4, 20)]:
+        factors[j, q] = 1.0
+    tied = [(j, q) for j in range(m + 1) for q in range(m + 1) if j + q == 12][:8]
+    tied += [(j, q) for j in range(m + 1) for q in range(m + 1) if 20 <= j + q <= 22][:32]
+    for j, q in tied:
+        factors[j, q] = 0.0
+    got = _assert_pruned_exact(_TableModel(logs), _TableSpec(rows), S._grid(10.0, points), factors)
+    assert all(got[0][j, q] == 0.0 for j, q in tied)
+
+
+def test_pruned_cells_with_vanishing_rows_and_cells():
+    # whole -inf jet rows and spatial rows, scattered -inf entries
+    import gsdyn.seminorms as S
+
+    m, points = 16, 64
+    rng = np.random.default_rng(3)
+    logs, rows, factors = _crafted(m, points)
+    logs += rng.integers(-3, 4, size=logs.shape)
+    rows += rng.integers(-3, 4, size=rows.shape)
+    logs[rng.random(logs.shape) < 0.3] = -math.inf
+    logs[[0, 5, 9]] = -math.inf
+    rows[[1, 2]] = -math.inf
+    _assert_pruned_exact(_TableModel(logs), _TableSpec(rows), S._grid(10.0, points), factors)
+    logs[:] = -math.inf  # a table that vanishes: every cell -inf, x in the middle
+    got = S._grid_cells(_TableModel(logs), _TableSpec(rows), S._grid(10.0, points), factors,
+                        S.REFINE_TOP)
+    assert (got[0] == -math.inf).all() and (got[1] == 0.0).all() and (got[2] == 0).all()
+
+
+@pytest.mark.parametrize("column", [10, 32])
+def test_pruned_cells_with_an_infinite_jet_entry(column):
+    # +inf against finite spatial entries (column 10), and at the middle of a
+    # mirror-symmetric grid, where log|x| = -inf makes the sum and the bound
+    # NaN (column 32, a chunk of its own): the bounds cannot order such a
+    # table, so every cell is evaluated as by the brute force
+    import gsdyn.seminorms as S
+
+    m, points = 8, 64
+    model = _TableModel(_tied_table(m, points))
+    model.logs[3, column] = model.logs[3, points - column] = math.inf
+    xs, spec = S._grid(10.0, points), SPECS["plainp"]
+    factors = spec.log_factors(m)
+    with np.errstate(invalid="ignore"):
+        got = S._grid_cells(model, spec, xs, factors, S.REFINE_TOP)
+        want = _brute_cells(model, spec, xs, factors)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+    assert got[0][3, 0] == math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(0, 20),
+    half=st.integers(16, 80),
+    mirror=st.booleans(),
+    spread=st.sampled_from([2, 5, 1000]),
+    holes=st.floats(0.0, 0.5),
+    family=st.sampled_from(sorted(SPECS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_cells_match_brute_force_on_random_tables(m, half, mirror, spread, holes, family,
+                                                          seed):
+    import gsdyn.seminorms as S
+
+    rng = np.random.default_rng(seed)
+    side = rng.integers(-spread, spread + 1, size=(m + 1, half)) / rng.choice([1.0, 7.0])
+    side[rng.random(side.shape) < holes] = -math.inf
+    other = side[:, ::-1] if mirror else rng.permutation(side, axis=1)
+    logs = np.hstack([side, rng.integers(-spread, spread + 1, size=(m + 1, 1)), other])
+    spec = SPECS[family]
+    _assert_pruned_exact(_TableModel(logs), spec, S._grid(10.0, 2 * half), spec.log_factors(m))
+
+
+@pytest.mark.parametrize("family", ["plainp", "globalp"])
+def test_search_tables_evaluate_few_cells(family):
+    # at M = 128 the search evaluates a small share of its 8,385 cells, so the
+    # saving of the chunk bounds cannot vanish silently
+    import gsdyn.seminorms as S
+
+    m, model, spec = 128, Gaussian(1.0), SeminormSpec(family, G2)
+    factors = spec.log_factors(m)
+    xs = S._grid(default_radius(model, m), 2048)
+    vals = S._grid_cells(model, spec, xs, factors, S.REFINE_TOP)[0]
+    assert np.isfinite(vals).sum() <= 0.1 * (factors > -math.inf).sum()
