@@ -1,11 +1,11 @@
 """Young conjugates of phi(t) = omega(e^t).
 
-Both families' conjugates are exact: a Gevrey phi(t) = e^(t/d) gives
-x d log(x d / e) on x >= 1/d and -1 below (the sup sits at t = 0 there), and
-a log-power phi(t) = (t / scale)^p gives (p - 1) (scale x / p)^(p / (p - 1)).
-A root weight needs no case of its own: it was folded into d or the scale
-when it was built.  The oracle (method="numeric") is a fixed-step
-golden-section maximisation of t -> x t - phi(t).
+`young_conjugate` checks x and switches between the closed form each weight
+family carries (`conjugate`: x d log(x d / e) for Gevrey, and
+(p - 1) (scale x / p)^(p / (p - 1)) for log-power; a root weight was folded
+into d or the scale when it was built) and the oracle (method="numeric"), a
+fixed-step golden-section maximisation of t -> x t - phi(t).  A closed value
+past the double range raises ResourceLimitError, for either family.
 """
 
 from __future__ import annotations
@@ -13,34 +13,12 @@ from __future__ import annotations
 import math
 
 from .errors import BoundaryHitError, DomainError, ResourceLimitError
-from .weights import Gevrey, Weight, gevrey_index
+from .weights import Weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 NUMERIC_STEPS = 60  # golden steps of the numeric conjugate: final bracket ~3e-13 x its right end
 T_MAX = 100.0  # first right end of that bracket, doubled while the sup lies beyond
-
-
-def phi(w: Weight, t: float) -> float:
-    """phi_omega(t) = omega(e^t), evaluated without forming e^t."""
-    if t < 0:
-        raise DomainError("phi is used on t >= 0, got %r" % (t,))
-    if isinstance(w, Gevrey):
-        return math.exp(t / w.d)
-    return (t / w.scale) ** w.p
-
-
-def _closed_form(w: Weight, x: float) -> float:
-    d = gevrey_index(w)
-    if d is not None:
-        xd = x * d
-        if xd <= 1.0:
-            return -1.0
-        return xd * math.log(xd / math.e)
-    try:
-        return (w.p - 1.0) * (w.scale * x / w.p) ** (w.p / (w.p - 1.0))
-    except OverflowError:
-        raise ResourceLimitError("conjugate of %s at x=%g overflows" % (w.spec(), x)) from None
 
 
 def _golden_max(f, a: float, b: float) -> float:
@@ -63,7 +41,7 @@ def _golden_max(f, a: float, b: float) -> float:
 def _numeric_sup(w: Weight, x: float) -> float:
     def f(t: float) -> float:
         try:
-            return x * t - phi(w, t)
+            return x * t - w.phi(t)
         except OverflowError:
             return float("-inf")
 
@@ -80,10 +58,16 @@ def _numeric_sup(w: Weight, x: float) -> float:
 
 def young_conjugate(w: Weight, x: float, method: str = "closed") -> float:
     """phi*_omega(x) = sup_{t >= 0} (x t - phi_omega(t)); "numeric" is the oracle."""
-    if not x >= 0:  # NaN fails this too
-        raise DomainError("the Young conjugate is evaluated on x >= 0, got %r" % (x,))
+    if not 0 <= x < math.inf:  # NaN fails this too
+        raise DomainError("the Young conjugate is evaluated on finite x >= 0, got %r" % (x,))
     if method == "closed":
-        return _closed_form(w, x)
+        try:  # a formula overflows by raising or by returning inf
+            value = w.conjugate(x)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise ResourceLimitError("conjugate of %s at x=%g overflows" % (w.spec(), x))
+        return value
     if method == "numeric":
         return _numeric_sup(w, x)
     raise DomainError("unknown conjugate method %r" % (method,))

@@ -1,10 +1,12 @@
-"""Weight functions and their defining conditions, decided per family.
+"""Weight functions and their defining conditions: one class per family.
 
 There are two families: Gevrey t^(1/d), d > 1, and log-power
-(log+ t / scale)^p, p > 1, whose normal form (`normal_form`) is c (log+ t)^p
-with c = scale^(-p).  A root t -> omega(t^(1/a)) is folded into its family
-when it is built (`RootComposed`): d becomes d a, or scale becomes scale a,
-so nested roots multiply.  Each condition is a formula on the normal form:
+(log+ t / scale)^p = c (log+ t)^p, p > 1, c = scale^(-p).  Each class holds
+every formula of its family: omega, phi(u) = omega(e^u), the closed-form
+conjugate of phi, Q = sup_{t >= 1} omega(t)/t (`q_linear`), the field a root
+multiplies and its row of the condition table.  A root t -> omega(t^(1/a))
+is folded into its family when it is built (`RootComposed`): d becomes d a,
+or scale becomes scale a, so nested roots multiply.  The rows:
 
   condition                               Gevrey t^(1/d)       c (log+ t)^p
   alpha    omega(2t) <= L (omega(t) + 1)  L = 2^(1/d)          L = S(log 2)
@@ -21,7 +23,8 @@ S(a) = sup_{u >= 0} c (u + a)^p / (c u^p + 1), and beta_D is the Dirichlet
 beta.  Each constant is the least that works, except the log-power epsilon C,
 a bound by Minkowski's inequality.  A failed zeta or logcond carries no
 counterexample: the failure is asymptotic, and any single t is met by a large
-enough constant.  A constant past the double range raises ResourceLimitError.
+enough constant.  A constant or Q past the double range raises
+ResourceLimitError, and so does a conjugate, in `conjugate.young_conjugate`.
 """
 
 from __future__ import annotations
@@ -71,6 +74,19 @@ class Gevrey(Weight):
     d: float
     literal: str = field(default="", compare=False)
 
+    ROOT_FIELD = "d"
+    CONDITION_ROW = {
+        "alpha": lambda w: _holds(L=2.0 ** (1.0 / w.d)),
+        # cos(pi/(2d)) written as a sine, which keeps its relative accuracy as d -> 1
+        "beta": lambda w: _holds(integral=math.pi / (2.0 * math.sin(0.5 * math.pi * (w.d - 1.0) / w.d))),
+        "gamma": lambda w: _holds(),
+        "delta": lambda w: _holds(),
+        "epsilon": lambda w: _holds(C=w.d / (w.d - 1.0)),  # the integral is d/(d-1) omega(y)
+        "zeta": lambda w: _holds(H=2.0 ** w.d),  # omega(2^d t) = 2 omega(t)
+        "logcond": lambda w: ("fails", {}, None),  # omega(t^2) / omega(t) = omega(t)
+        "subadditive": lambda w: _holds(),
+    }
+
     def __post_init__(self):
         if not 1 < self.d < math.inf:
             raise DomainError("Gevrey index must be finite and > 1, got %r" % (self.d,))
@@ -82,6 +98,19 @@ class Gevrey(Weight):
         e = 1.0 / self.d
         d1 = e * t ** (e - 1.0)
         return d1, (e - 1.0) * d1 / t
+
+    def phi(self, t: float) -> float:
+        return math.exp(t / self.d)
+
+    def conjugate(self, x: float) -> float:
+        # x d log(x d / e), the sup at t = d log(x d); -1 at t = 0 for x d <= 1
+        xd = x * self.d
+        if xd <= 1.0:
+            return -1.0
+        return xd * math.log(xd / math.e)
+
+    def q_linear(self) -> float:
+        return 1.0  # t^(1/d) / t is largest at t = 1
 
     def spec(self) -> str:
         return self.literal or "gevrey:" + number_literal(self.d)
@@ -95,11 +124,35 @@ class LogPower(Weight):
     scale: float = 1.0
     literal: str = field(default="", compare=False)
 
+    ROOT_FIELD = "scale"
+    CONDITION_ROW = {
+        # with u = log t, omega(2t) / (omega(t) + 1) = c (u + log 2)^p / (c u^p + 1)
+        "alpha": lambda w: _holds(L=_sup_ratio(math.log(LOG2), w.p, w.c)),
+        "beta": lambda w: _holds(
+            integral=math.exp(math.log(w.c) + math.lgamma(w.p + 1.0)) * _dirichlet_beta(w.p + 1.0)
+        ),
+        "gamma": lambda w: _holds(),
+        "delta": lambda w: _holds(),
+        # Minkowski in L^p(dt/t^2) on [1, inf): the integral is at most
+        # c (log+ y + Gamma(p+1)^(1/p))^p
+        "epsilon": lambda w: _holds(C=_sup_ratio(math.lgamma(w.p + 1.0) / w.p, w.p, w.c)),
+        "zeta": lambda w: ("fails", {}, None),  # 2 omega(t) / omega(H t) -> 2 for every H
+        "logcond": lambda w: _holds(C=2.0 ** w.p),  # omega(t^2) = 2^p omega(t)
+        "subadditive": lambda w: (
+            "fails", {"violation": math.exp(math.log(w.c) + w.p * math.log(LOG2))}, [1.0, 1.0]
+        ),
+    }
+
     def __post_init__(self):
         if not 1 < self.p < math.inf:
             raise DomainError("log-power exponent must be finite and > 1, got %r" % (self.p,))
         if not 1 <= self.scale < math.inf:
             raise DomainError("log-power scale must be finite and >= 1, got %r" % (self.scale,))
+
+    @property
+    def c(self) -> float:
+        """scale^(-p); past the double range of scale^p it underflows to 0.0."""
+        return self.scale ** -self.p
 
     def _eval(self, t: float) -> float:
         if t <= 1.0:
@@ -121,6 +174,20 @@ class LogPower(Weight):
             d2 = np.where(t > 1.0, self.p * v ** (self.p - 2.0) * (self.p - 1.0 - u) / st**2, 0.0)
         return d1, d2
 
+    def phi(self, t: float) -> float:
+        return (t / self.scale) ** self.p if t > 0.0 else 0.0
+
+    def conjugate(self, x: float) -> float:
+        # the sup sits at t = scale (scale x / p)^(1/(p-1))
+        return (self.p - 1.0) * (self.scale * x / self.p) ** (self.p / (self.p - 1.0))
+
+    def q_linear(self) -> float:
+        """c (p/e)^p, at log t = p."""
+        try:
+            return math.exp(math.log(self.c) + self.p * (math.log(self.p) - 1.0))
+        except (OverflowError, ValueError):  # exp past the double range; log of an underflowed c
+            raise ResourceLimitError("%s: Q = c (p/e)^p overflows a double" % self.spec()) from None
+
     def spec(self) -> str:
         inner = "logpow:" + number_literal(self.p)
         root = "root:%s:%s" % (number_literal(self.scale), inner)
@@ -132,19 +199,10 @@ def RootComposed(base: Weight, a: float) -> Weight:
     if not 1 <= a < math.inf:
         raise DomainError("root exponent must be finite and >= 1, got %r" % (a,))
     literal = "root:%s:%s" % (number_literal(a), base.spec())
-    folded = {"d": base.d * a} if isinstance(base, Gevrey) else {"scale": base.scale * a}
-    if math.inf in folded.values():
+    folded = getattr(base, base.ROOT_FIELD) * a
+    if folded == math.inf:
         raise ResourceLimitError("%s: the folded index overflows a double" % literal)
-    return replace(base, literal=literal, **folded)
-
-
-def normal_form(w: Weight) -> Tuple[str, float, float]:
-    """(kind, index, c): ("gevrey", d, 1.0) when w is t**(1/d), or
-    ("logpower", p, scale**-p) when w is (log+ t / scale)**p.  Past the
-    double range of scale^p, c underflows to 0.0."""
-    if isinstance(w, Gevrey):
-        return "gevrey", w.d, 1.0
-    return "logpower", w.p, w.scale ** -w.p
+    return replace(base, literal=literal, **{base.ROOT_FIELD: folded})
 
 
 def gevrey_index(w: Weight) -> Optional[float]:
@@ -173,7 +231,7 @@ def parse_weight(text: str) -> Weight:
 
 
 # --------------------------------------------------------------------------
-# conditions, decided on the normal form
+# conditions, decided by each family's CONDITION_ROW
 # --------------------------------------------------------------------------
 
 
@@ -229,38 +287,7 @@ def _holds(**constants):
     return "holds", constants, None
 
 
-# One table per family: condition -> (index, c) -> (verdict, constants,
-# counterexample).  The Gevrey c is always 1.
-_GEVREY = {
-    "alpha": lambda d, _: _holds(L=2.0 ** (1.0 / d)),
-    # cos(pi/(2d)) written as a sine, which keeps its relative accuracy as d -> 1
-    "beta": lambda d, _: _holds(integral=math.pi / (2.0 * math.sin(0.5 * math.pi * (d - 1.0) / d))),
-    "gamma": lambda d, _: _holds(),
-    "delta": lambda d, _: _holds(),
-    "epsilon": lambda d, _: _holds(C=d / (d - 1.0)),  # the integral is d/(d-1) omega(y)
-    "zeta": lambda d, _: _holds(H=2.0 ** d),  # omega(2^d t) = 2 omega(t)
-    "logcond": lambda d, _: ("fails", {}, None),  # omega(t^2) / omega(t) = omega(t)
-    "subadditive": lambda d, _: _holds(),
-}
-_LOGPOWER = {
-    # with u = log t, omega(2t) / (omega(t) + 1) = c (u + log 2)^p / (c u^p + 1)
-    "alpha": lambda p, c: _holds(L=_sup_ratio(math.log(LOG2), p, c)),
-    "beta": lambda p, c: _holds(
-        integral=math.exp(math.log(c) + math.lgamma(p + 1.0)) * _dirichlet_beta(p + 1.0)
-    ),
-    "gamma": lambda p, c: _holds(),
-    "delta": lambda p, c: _holds(),
-    # Minkowski in L^p(dt/t^2) on [1, inf): the integral is at most
-    # c (log+ y + Gamma(p+1)^(1/p))^p
-    "epsilon": lambda p, c: _holds(C=_sup_ratio(math.lgamma(p + 1.0) / p, p, c)),
-    "zeta": lambda p, c: ("fails", {}, None),  # 2 omega(t) / omega(H t) -> 2 for every H
-    "logcond": lambda p, c: _holds(C=2.0 ** p),  # omega(t^2) = 2^p omega(t)
-    "subadditive": lambda p, c: (
-        "fails", {"violation": math.exp(math.log(c) + p * math.log(LOG2))}, [1.0, 1.0]
-    ),
-}
-_TABLES = {"gevrey": _GEVREY, "logpower": _LOGPOWER}
-CONDITIONS = tuple(_GEVREY)
+CONDITIONS = tuple(Gevrey.CONDITION_ROW)
 
 
 def check_condition(w: Weight, condition: str) -> ConditionReport:
@@ -268,9 +295,8 @@ def check_condition(w: Weight, condition: str) -> ConditionReport:
         raise ConfigurationError(
             "unknown condition %r (expected one of %s)" % (condition, ", ".join(CONDITIONS))
         )
-    kind, index, c = normal_form(w)
     try:
-        verdict, constants, counterexample = _TABLES[kind][condition](index, c)
+        verdict, constants, counterexample = w.CONDITION_ROW[condition](w)
     except (OverflowError, ValueError):  # exp past the double range; log of an underflowed c
         raise ResourceLimitError(
             "%s: a constant of condition %s overflows a double" % (w.spec(), condition)

@@ -34,7 +34,7 @@ from .jets import (
 )
 from .polynomials import Polynomial, iterate
 from .seminorms import SearchSpec, SeminormSpec, attainment_matrix, eval_seminorm
-from .weights import Gevrey, RootComposed, Weight, check_condition, normal_form
+from .weights import Gevrey, RootComposed, Weight, check_condition
 
 LOG2 = math.log(2.0)
 NEG_INF = float("-inf")
@@ -44,7 +44,7 @@ DELTA_SCAN_CAP = 100000  # largest j the dilation-delta scan may reach
 JET_CHECK_MAX = 12  # largest m the repelling and square jet paths cross-check
 ETA_GRID = np.linspace(-6.0, 6.0, 25)  # frequencies of the Fourier check
 FOURIER_POINT_CAP = 100000  # most trapezoid nodes the Fourier check may use
-LOG_SCALE_CAP = 700.0  # largest |log| of the dilation factor |a|^m (double range)
+LOG_SCALE_CAP = 700.0  # largest |log| of the dilation factor |a|^m and of rho (double range)
 
 
 # --------------------------------------------------------------------------
@@ -113,18 +113,6 @@ def classify_growth(
 # --------------------------------------------------------------------------
 
 
-def q_linear_bound(w: Weight) -> float:
-    """Q = sup over t >= 1 of omega(t)/t, from w's normal form: 1 for
-    t^(1/d), at t = 1, and c (p/e)^p for c (log+ t)^p, at log t = p."""
-    kind, p, c = normal_form(w)
-    if kind == "gevrey":
-        return 1.0
-    try:
-        return math.exp(math.log(c) + p * (math.log(p) - 1.0))
-    except (OverflowError, ValueError):  # exp past the double range; log of an underflowed c
-        raise ResourceLimitError("%s: Q = c (p/e)^p overflows a double" % w.spec()) from None
-
-
 def _fit_slope(points: List[GrowthPoint], window: int) -> float:
     tail = points[-window:]
     xs = np.array([p.index for p in tail], dtype=float)
@@ -148,13 +136,13 @@ def witness_translation(
 
     Expected verdict: at-most-geometric with tail slope <= 1.1 mu L Q, where
     L is condition (alpha)'s constant and Q = sup_{t >= 1} omega(t)/t
-    (q_linear_bound), both exact formulas on w's normal form.
+    (`w.q_linear()`), both exact formulas of w's family.
     """
     rep = check_condition(w, "alpha")
     if not rep.holds:
         raise DomainError("translation witness needs condition (alpha)")
     big_l = float(rep.constants["L"])
-    big_q = q_linear_bound(w)
+    big_q = w.q_linear()
     spec = SeminormSpec("expq", w, lam=lam, mu=mu)
     base = eval_seminorm(f, spec).log_value
     values: List[Tuple[int, float]] = [(0, 0.0)]
@@ -250,6 +238,8 @@ def rho_construction(
     boxed = (j <= big_m) & (q <= big_m) & np.isfinite(mat)
     log_ratio = max(np.max(a0[consecutive] - a1[consecutive]), np.max(mat[boxed] - anchor))
     log_rho = float(max(math.log(1.05) + log_ratio, math.log(1.05)))
+    if log_rho > LOG_SCALE_CAP:
+        raise ResourceLimitError("rho-construction: rho = e^%g is past e^%g" % (log_rho, LOG_SCALE_CAP))
     rho = math.exp(log_rho)
     g: FunctionModel = Scaled(f, rho if direction == "derivative" else 1.0 / rho)
     check = eval_seminorm(g, spec)
@@ -634,6 +624,9 @@ def fourier_scaling_check(f: FunctionModel, b: float) -> FourierReport:
     if not isinstance(f, Gaussian):
         raise DomainError("the quadrature check is wired for the Gaussian model")
     s = f.scale
+    sb = s * abs(b)
+    if sb * sb == math.inf:  # the closed transform divides by (s b)^2
+        raise ResourceLimitError("the Fourier check's closed transform overflows at scale*|b| = %g" % sb)
 
     def transform(scale: float, etas: np.ndarray) -> np.ndarray:
         # trapezoid rule on a uniform grid: exponentially accurate for a
@@ -652,10 +645,8 @@ def fourier_scaling_check(f: FunctionModel, b: float) -> FourierReport:
         vals = np.exp(-((scale * x) ** 2)) * np.cos(np.outer(etas, x))
         return np.trapezoid(vals, dx=h, axis=1)
 
-    lhs = transform(s * abs(b), ETA_GRID)
+    lhs = transform(sb, ETA_GRID)
     rhs = transform(s, ETA_GRID / b) / abs(b)
-    closed = math.sqrt(math.pi) / (s * abs(b)) * np.exp(
-        -(ETA_GRID ** 2) / (4.0 * (s * b) ** 2)
-    )
+    closed = math.sqrt(math.pi) / sb * np.exp(-(ETA_GRID ** 2) / (4.0 * (s * b) ** 2))
     err = float(np.max(np.abs([lhs - rhs, lhs - closed])))
     return FourierReport(b, err, len(ETA_GRID))

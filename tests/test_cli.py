@@ -141,6 +141,22 @@ def test_dilation_past_double_range_exits_3(capsys, monkeypatch):
         assert "dilation factor" in capsys.readouterr().err
 
 
+def test_values_past_the_double_range_exit_3(capsys):
+    # each was an "inf" or "nan" printed with exit 0, or an OverflowError traceback
+    for argv, message in (
+        (["conjugate", "--weight", "gevrey:2", "--x", "1e308", "--check"],
+         "conjugate of gevrey:2 at x=1e+308 overflows"),
+        (["witness", "rho", "--lam", "1e-300"], "rho = e^"),
+        (["witness", "fourier", "--b", "1e300"], "closed transform overflows"),
+        (["witness", "fourier", "--scale", "1e160"], "closed transform overflows"),
+    ):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and message in err, (argv, err)
+    assert main(["conjugate", "--weight", "gevrey:2", "--x", "inf"]) == 2
+    assert "finite x >= 0" in capsys.readouterr().err
+
+
 def test_bad_weight_exits_2():
     r = run_cli("conjugate", "--weight", "nope:1", "--x", "1")
     assert r.returncode == 2

@@ -47,6 +47,7 @@ USED_OUTSIDE = {
     "jets.compose_jet_partitions": "the independent oracle the jet tests compare against",
     "jets.faa_di_bruno_identity_sum": "the identity an acceptance criterion checks",
     "seminorms.SeminormSpec.describe": "called by perfbench/workloads.py",
+    "weights.gevrey_index": "called by perfbench/tracing.py for each young_conjugate call",
 }
 
 
@@ -114,6 +115,29 @@ def test_checker_flags_an_unread_constant():
 def test_package_code_uses_every_definition():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_definitions(sources) == sorted(USED_OUTSIDE)
+
+
+def family_dispatch(source: str):
+    """Lines of `source` that call isinstance with Gevrey or LogPower."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            names = {getattr(n, "id", getattr(n, "attr", None)) for a in node.args for n in ast.walk(a)}
+            if names & {"Gevrey", "LogPower"}:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_weights_knows_the_families():
+    # a family's formulas are methods of its class, so no other module tests the class
+    src = "isinstance(w, Gevrey)\nisinstance(w, (int, weights.LogPower))\nisinstance(w, Weight)\n"
+    assert family_dispatch(src) == [1, 2]
+    found = {
+        p.name: lines
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "weights.py" and (lines := family_dispatch(p.read_text()))
+    }
+    assert found == {}
 
 
 def imported_roots(source: str):

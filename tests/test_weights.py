@@ -18,7 +18,6 @@ from gsdyn.weights import (
     check_all_conditions,
     check_condition,
     gevrey_index,
-    normal_form,
     parse_weight,
 )
 
@@ -49,7 +48,7 @@ def test_logpower_scale_prints_as_a_root():
     # omega = (log+ t / scale)^p; a scale given directly prints as the root it is
     w = LogPower(2.0, 6.0)
     assert w.spec() == "root:6:logpow:2" and parse_weight(w.spec()) == w
-    assert normal_form(w) == ("logpower", 2.0, 1.0 / 36.0)
+    assert (w.p, w.c) == (2.0, 1.0 / 36.0)
     assert w(math.e ** 12) == pytest.approx(4.0, rel=1e-15)
     for bad in (0.5, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -179,9 +178,12 @@ def test_verdicts_decided_on_the_normal_form(spec, condition, verdict, constants
 
 
 def test_normal_form_of_roots():
-    assert normal_form(parse_weight("root:2:root:3:gevrey:1.5")) == ("gevrey", 9.0, 1.0)
-    assert normal_form(parse_weight("root:2:logpow:3")) == ("logpower", 3.0, 0.125)
-    assert normal_form(parse_weight("root:2:root:3:logpow:2")) == ("logpower", 2.0, 1.0 / 36.0)
+    # a root folds into its family's class: d multiplies, or c = scale^-p falls
+    w = parse_weight("root:2:root:3:gevrey:1.5")
+    assert isinstance(w, Gevrey) and w.d == 9.0
+    for spec, p, c in (("root:2:logpow:3", 3.0, 0.125), ("root:2:root:3:logpow:2", 2.0, 1.0 / 36.0)):
+        w = parse_weight(spec)
+        assert isinstance(w, LogPower) and (w.p, w.c) == (p, c)
 
 
 def test_unknown_condition_rejected():
@@ -316,6 +318,9 @@ def test_derivatives_match_mpmath(spec):
             r1, r2 = (float(mpmath.diff(om, t, n)) for n in (1, 2))
             assert a1 == pytest.approx(r1, rel=1e-12, abs=1e-300), (spec, t)
             assert a2 == pytest.approx(r2, rel=1e-12, abs=1e-300), (spec, t)
+    # phi(u) = omega(e^u), also below the kink u = 0
+    for t in ts:
+        assert w.phi(math.log(t)) == pytest.approx(w(t), rel=1e-14, abs=0.0), (spec, t)
 
 
 @st.composite
@@ -350,8 +355,8 @@ def test_condition_table_against_mpmath(w, s, r, big):
     # omega is evaluated in mpmath from the family's formula, at 30 digits
     phi = _mp_phi(w)
     rep = {x.condition: x for x in check_all_conditions(w)}
-    kind, index, c = normal_form(w)
-    gevrey = kind == "gevrey"
+    gevrey = isinstance(w, Gevrey)
+    index, c = (w.d, 1.0) if gevrey else (w.p, w.c)
     assert {k: x.verdict for k, x in rep.items()} == {
         "alpha": "holds", "beta": "holds", "gamma": "holds", "delta": "holds",
         "epsilon": "holds", "zeta": "holds" if gevrey else "fails",

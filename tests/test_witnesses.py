@@ -12,7 +12,6 @@ from gsdyn.witnesses import (
     classify_growth,
     falling_factorial_2m,
     fourier_scaling_check,
-    q_linear_bound,
     repelling_constants,
     rho_construction,
     witness_deg2_topologizable,
@@ -73,10 +72,10 @@ def test_repelling_constants_closed_form():
 
 def test_q_linear_bound_gevrey():
     # sqrt(t) / t peaks at t = 1, and (log t)^2 / t at log t = 2
-    assert q_linear_bound(G2) == 1.0
-    assert q_linear_bound(LogPower(2.0)) == pytest.approx(4.0 / math.e ** 2, rel=1e-15)
+    assert G2.q_linear() == 1.0
+    assert LogPower(2.0).q_linear() == pytest.approx(4.0 / math.e ** 2, rel=1e-15)
     with pytest.raises(ResourceLimitError, match="logpow:200"):
-        q_linear_bound(LogPower(200.0))  # (200/e)^200 is past the double range
+        LogPower(200.0).q_linear()  # (200/e)^200 is past the double range
 
 
 # ----------------------------------------------------------------- witnesses
