@@ -7,6 +7,10 @@ interval refinement: a secant only guesses which subinterval holds the root,
 and exact signs at its ends confirm it.  Isolation reads only signs, so it
 runs on integer primitive forms: Sturm chains by primitive pseudo-remainders,
 and values at rational points n/d as d^deg p(n/d) by Horner over ints.
+Bisection from the Cauchy bound B visits only points B u / 2^k, so the chain
+is scaled by B once and each sign is a Horner whose denominator powers are
+shifts; points at or past the root radius R, a power of two above Fujiwara's
+bound, have the sign variations of +-infinity and are not evaluated.
 x^2 + 1/4 and x^2 + 0.2500001 must land on different sides.
 """
 
@@ -320,50 +324,99 @@ def _sign_at(a: Sequence[int], x: Fraction) -> int:
     return _sign(_horner(_homogenize(a, x.denominator), x.numerator))
 
 
-def _variations(chain: Sequence[List[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
+def _sign_changes(signs: Sequence[int]) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _variations(chain: Sequence[List[int]], x: Fraction) -> int:
+    return _sign_changes([_sign_at(p, x) for p in chain])
 
 
 def _cauchy_bound(a: List[int]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in a), abs(a[-1]))
 
 
+def _root_radius(a: List[int]) -> int:
+    """An r with 2^r strictly above the modulus of every complex root of a.
+
+    Fujiwara's bound |z| <= 2 max_i |a_(n-i) / a_n|^(1/i) (Tohoku Math. J. 10,
+    1916) is below 2^r once 2^((r-1) i) |a_n| > |a_(n-i)| for every i, which
+    holds when (r-1) i >= bits(a_(n-i)) - bits(a_n) + 1.  This r is at most
+    two above the least exponent whose power of two is above the bound."""
+    n, lead = len(a) - 1, abs(a[-1]).bit_length()
+    return 1 + max((-((lead - abs(a[n - i]).bit_length() - 1) // i)
+                    for i in range(1, n + 1) if a[n - i]), default=0)
+
+
+def _grid_signs(scaled: Sequence[List[int]], u: int, k: int) -> List[int]:
+    """The signs of a chain at B u / 2^k, each member q prescaled by B, from
+    2^(k deg q) q(u / 2^k) by Horner over ints: every power of 2^k is a shift."""
+    signs = []
+    for q in scaled:
+        acc, shift = q[-1], 0
+        for c in reversed(q[:-1]):
+            shift += k
+            acc = acc * u + (c << shift)
+        signs.append(_sign(acc))
+    return signs
+
+
 def _isolate_roots(p: List[int]) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint intervals (lo, hi], one simple root each; p must be square-free.
 
-    Every root lies strictly inside the Cauchy bound, so neither starting end
-    is a root.  The stack holds (a, V(a), b, V(b)) with V the Sturm sign
-    variations, so the chain is evaluated once per point."""
+    Bisection from (-B, B], B the Cauchy bound, so every point it visits is
+    B u / 2^k: the stack holds (u_a, V(a), u_b, V(b), k) with V the Sturm sign
+    variations, so the chain is evaluated once per point, and only at points
+    inside the root radius R.  No root lies at or past R, so there V is its
+    value at +-infinity, read off the leading coefficients."""
     chain = _sturm_chain(p, _derivative(p))
     bound = _cauchy_bound(p)
-    out: List[Tuple[Fraction, Fraction]] = []
-    stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
+    n, d, r = bound.numerator, bound.denominator, _root_radius(p)
+    # d^deg q(B t) = sum of c_i n^i d^(deg - i) t^i, positive multiples kept primitive
+    npow = [n ** i for i in range(len(p))]
+    scaled = [_primitive([c * npow[i] for i, c in enumerate(_homogenize(q, d))]) for q in chain]
+    v_top = _sign_changes([_sign(q[-1]) for q in chain])
+    v_bottom = _sign_changes([_sign(q[-1]) * (-1) ** (len(q) - 1) for q in chain])
+
+    def signs_at(u: int, k: int) -> Tuple[int, int]:
+        """(V, sign of p) at B u / 2^k."""
+        z = min((u & -u).bit_length() - 1, k) if u else k
+        u, k = u >> z, k - z
+        e = k + r
+        if abs(u) * n << max(-e, 0) >= d << max(e, 0):  # |B u / 2^k| >= 2^r
+            return (v_top if u > 0 else v_bottom), 1
+        signs = _grid_signs(scaled, u, k)
+        return _sign_changes(signs), signs[0]
+
+    cells: List[Tuple[int, int, int]] = []
+    stack = [(-1, v_bottom, 1, v_top, 0)]
     while stack:
-        a, va, b, vb = stack.pop()
-        n = va - vb
-        if n == 0:
+        ua, va, ub, vb, k = stack.pop()
+        roots = va - vb
+        if roots == 0:
             continue
-        if n == 1:
-            out.append((a, b))
+        if roots == 1:
+            cells.append((ua, ub, k))
             continue
-        mid = (a + b) / 2
-        if _sign_at(p, mid) == 0:
-            # exact root at the probe: wall it off with a tiny gap
-            gap = (b - a) / 2 ** 24
+        um = ua + ub  # the midpoint, on level k + 1
+        vm, sm = signs_at(um, k + 1)
+        if sm == 0:
+            # exact root at the probe: wall it off with a tiny gap (b - a) / 2^j
+            j = 24
             while True:
-                lo, hi = mid - gap, mid + gap
-                vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+                lo, hi = (um << (j - 1)) - (ub - ua), (um << (j - 1)) + (ub - ua)
+                (vlo, _), (vhi, _) = signs_at(lo, k + j), signs_at(hi, k + j)
                 if vlo - vhi == 1:
                     break
-                gap /= 2
-            out.append((lo, hi))
-            stack.append((a, va, lo, vlo))
-            stack.append((hi, vhi, b, vb))
+                j += 1
+            cells.append((lo, hi, k + j))
+            stack.append((ua << j, va, lo, vlo, k + j))
+            stack.append((hi, vhi, ub << j, vb, k + j))
         else:
-            vm = _variations(chain, mid)
-            stack.append((a, va, mid, vm))
-            stack.append((mid, vm, b, vb))
+            stack.append((2 * ua, va, um, vm, k + 1))
+            stack.append((um, vm, 2 * ub, vb, k + 1))
+    out = [(Fraction(n * ua, d << k), Fraction(n * ub, d << k)) for ua, ub, k in cells]
     out.sort(key=lambda iv: iv[0])
     return out
 

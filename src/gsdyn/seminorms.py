@@ -78,6 +78,9 @@ class SeminormSpec:
     def uses_q(self) -> bool:
         return self.family != "expq"
 
+    def _label(self) -> str:
+        return "%s seminorm of %s at lam=%r" % (self.family, self.weight.spec(), self.lam)
+
     def log_factors(self, m: int) -> np.ndarray:
         """table[j, q] = log of the index factor for j+q <= m (expq: q = 0 only),
         -inf elsewhere; one Young conjugate per order n <= m (jet-order cap first)."""
@@ -87,7 +90,12 @@ class SeminormSpec:
             lg = np.array([math.lgamma(i + 1) for i in range(m + 1)])
             table = (j + q) * math.log(self.mu) - self.s * (lg[:, None] + lg[None, :])
         else:
-            conj = np.array([young_conjugate(self.weight, n / self.lam) for n in range(m + 1)])
+            if not m / self.lam < math.inf:  # n / lam grows with n, so this checks every order
+                raise DomainError("%s: order %d / lam is past the double range" % (self._label(), m))
+            try:
+                conj = np.array([young_conjugate(self.weight, n / self.lam) for n in range(m + 1)])
+            except ResourceLimitError as exc:
+                raise ResourceLimitError("%s: %s" % (self._label(), exc)) from None
             table = -self.lam * conj[j if self.family == "expq" else np.minimum(j + q, m)]
         return np.where(q == 0 if self.family == "expq" else j + q <= m, table, NEG_INF)
 

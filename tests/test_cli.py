@@ -157,6 +157,21 @@ def test_values_past_the_double_range_exit_3(capsys):
     assert "finite x >= 0" in capsys.readouterr().err
 
 
+def test_seminorm_lambda_past_the_double_range_names_it(capsys):
+    # M / lam is inf at 1e-320 (exit 2) and a conjugate overflow at 1e-305
+    # (exit 3); both messages used to name neither the seminorm nor lam
+    base = ["seminorm", "--model", "gauss:1", "--weight", "gevrey:2", "--lam"]
+    for lam, family, code, message in (
+        ("1e-320", "plainp", 2, "error: plainp seminorm of gevrey:2 at lam=1e-320: order 16 / lam"),
+        ("1e-305", "plainp", 3, "inconclusive: plainp seminorm of gevrey:2 at lam=1e-305: "
+                                "conjugate of gevrey:2 at x=2e+305 overflows"),
+        ("1e-305", "expq", 3, "inconclusive: expq seminorm of gevrey:2 at lam=1e-305: "),
+    ):
+        assert main(base + [lam, "--family", family]) == code, (lam, family)
+        err = capsys.readouterr().err
+        assert err.startswith(message), err
+
+
 def test_bad_weight_exits_2():
     r = run_cli("conjugate", "--weight", "nope:1", "--x", "1")
     assert r.returncode == 2

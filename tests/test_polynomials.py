@@ -14,15 +14,18 @@ from gsdyn.polynomials import (
     AllPointsFixed,
     FixedPoint,
     Polynomial,
+    _cauchy_bound,
     _derivative,
     _int_form,
     _isolate_roots,
     _prem,
     _refine,
+    _root_radius,
     _sign_at,
     _square_free,
     _sturm_chain,
     _trim,
+    _variations,
     conjugate_by,
     fixed_points,
     iterate,
@@ -168,16 +171,25 @@ def test_fixed_points_pinned(spec, m):
 
 @pytest.mark.parametrize("spec, m", [("0,0,1", 1), ("1/4,0,1", 1), (SLOT, 4)])
 def test_sturm_chain_evaluated_once_per_point(monkeypatch, spec, m):
+    # isolation evaluates the chain at points B u / 2^k (u odd or k = 0), each
+    # once, and never at or past the root radius R, where V is known
     seen = []
-    variations = polynomials._variations
+    grid_signs = polynomials._grid_signs
 
-    def counted(chain, x):
-        seen.append((id(chain), x))
-        return variations(chain, x)
+    def counted(scaled, u, k):
+        seen.append((u, k))
+        return grid_signs(scaled, u, k)
 
-    monkeypatch.setattr(polynomials, "_variations", counted)
-    fixed_points(iterate(Polynomial.parse(spec), m))
-    assert seen and len(seen) == len(set(seen))
+    monkeypatch.setattr(polynomials, "_grid_signs", counted)
+    psi = iterate(Polynomial.parse(spec), m)
+    fixed_points(psi)
+    p = _square_free(_int_form(psi - Polynomial.x()))
+    bound, radius = _cauchy_bound(p), Fraction(2) ** _root_radius(p)
+    assert len(seen) == len(set(seen))
+    # V at +-B comes from the leading coefficients: a lone root needs no point
+    assert bool(seen) == (len(_isolate_roots(p)) > 1)
+    assert all(u % 2 or k == 0 for u, k in seen)
+    assert all(abs(bound * u / 2 ** k) < radius for u, k in seen)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -515,3 +527,122 @@ def test_refine_halves_the_evaluations_on_the_bench_iterates(monkeypatch):
     for call in calls:
         _refine(*call)
     assert len(evaluations) <= bisection[0] // 2
+
+
+# --------------------------------------------------------------------------
+# _isolate_roots against the Fraction bisection it replaces
+# --------------------------------------------------------------------------
+
+
+def _isolate_by_fractions(p, walls=None):
+    """The isolation loop _isolate_roots' intervals are defined by: Fraction
+    bisection from (-B, B], the chain evaluated at every point it visits;
+    `walls` collects the probes that were roots."""
+    chain = _sturm_chain(p, _derivative(p))
+    bound = _cauchy_bound(p)
+    out = []
+    stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        n = va - vb
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        if _sign_at(p, mid) == 0:
+            if walls is not None:
+                walls.append(mid)
+            gap = (b - a) / 2 ** 24
+            while True:
+                lo, hi = mid - gap, mid + gap
+                vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+                if vlo - vhi == 1:
+                    break
+                gap /= 2
+            out.append((lo, hi))
+            stack.append((a, va, lo, vlo))
+            stack.append((hi, vhi, b, vb))
+        else:
+            vm = _variations(chain, mid)
+            stack.append((a, va, mid, vm))
+            stack.append((mid, vm, b, vb))
+    out.sort(key=lambda iv: iv[0])
+    return out
+
+
+def _wall_off_forms():
+    """(x - 1)(d x - n)(x^2 + K) with Cauchy bound B = 2^j: both real roots lie
+    in (0, 2], so bisection probes B / 2^j = 1, a root, and walls it off."""
+    out = []
+    for d in range(1, 6):
+        for n in range(1, 2 * d):
+            for j in range(2, 13):
+                K, rest = divmod(d * (2 ** j - 1), d + n)
+                if n == d or rest:
+                    continue
+                p = _int_form(Polynomial.of([-1, 1]) * Polynomial.of([-n, d]) * Polynomial.of([K, 0, 1]))
+                if _cauchy_bound(p) == 2 ** j:
+                    out.append(p)
+    return out
+
+
+WALL_OFF_FORMS = _wall_off_forms()
+
+
+def _assert_radius(p):
+    # V at +-R equals V at +-B, and R = 2^r is strictly above every complex
+    # root, within a factor 8 of Fujiwara's bound
+    mpmath = pytest.importorskip("mpmath")
+    chain = _sturm_chain(p, _derivative(p))
+    bound, r = _cauchy_bound(p), _root_radius(p)
+    radius = Fraction(2) ** r
+    for sign in (1, -1):
+        assert _variations(chain, sign * radius) == _variations(chain, sign * bound)
+    n = len(p) - 1
+    if any(p[:-1]):  # the bound of a x^n is 0
+        assert any(Fraction(abs(p[n - i]), abs(p[-1])) >= (radius / 16) ** i
+                   for i in range(1, n + 1) if p[n - i])
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(p[::-1], maxsteps=400, extraprec=400)
+        assert max(abs(z) for z in roots) < mpmath.mpf(radius.numerator) / radius.denominator
+
+
+@given(
+    st.lists(st.integers(min_value=-40, max_value=40), min_size=2, max_size=9),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_isolation_matches_the_fraction_bisection(coeffs, root_at_zero):
+    p = _int_form(Polynomial.of(coeffs) * Polynomial.of([0, 1] if root_at_zero else [1]))
+    assume(len(p) >= 2)
+    p = _square_free(p)
+    walls, got = [], _isolate_roots(p)
+    assert got == _isolate_by_fractions(p, walls)
+    if root_at_zero:  # 0 is the first probe
+        assert (0 in walls) == (len(got) > 1)
+    _assert_radius(p)
+
+
+@given(st.sampled_from(WALL_OFF_FORMS), st.sampled_from([1, -1]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_isolation_matches_the_fraction_bisection_on_probe_roots(p, sign, root_at_zero):
+    # roots at sign B / 2^j, and at 0 (the first probe) with an extra factor x
+    p = [c * sign ** i for i, c in enumerate([0] + p if root_at_zero else p)]  # p(sign x)
+    walls = []
+    assert _isolate_roots(p) == _isolate_by_fractions(p, walls)
+    # a wall at 0 moves the grid of the half it leaves, so 1 may not be probed
+    assert (0 in walls) == root_at_zero and (root_at_zero or sign in walls)
+    _assert_radius(p)
+
+
+def test_isolation_matches_the_fraction_bisection_on_the_bench_iterates():
+    for psi in _bench_quadratics():
+        for m in (4, 5):
+            p = _square_free(_int_form(iterate(psi, m) - Polynomial.x()))
+            assert _isolate_roots(p) == _isolate_by_fractions(p)
+            chain = _sturm_chain(p, _derivative(p))
+            bound, radius = _cauchy_bound(p), Fraction(2) ** _root_radius(p)
+            for sign in (1, -1):
+                assert _variations(chain, sign * radius) == _variations(chain, sign * bound)

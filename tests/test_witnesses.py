@@ -9,6 +9,7 @@ from gsdyn.polynomials import Polynomial
 from gsdyn.seminorms import SeminormSpec, eval_seminorm
 from gsdyn.weights import Gevrey, LogPower, parse_weight
 from gsdyn.witnesses import (
+    _square_chain_holds,
     classify_growth,
     falling_factorial_2m,
     fourier_scaling_check,
@@ -62,6 +63,14 @@ def test_classify_needs_two_points():
 def test_falling_factorial_exact():
     assert falling_factorial_2m(3, 3) == 8 * 7 * 6
     assert falling_factorial_2m(5, 0) == 1
+
+
+def test_square_chain_matches_the_big_integer_comparison():
+    # 2^m ... (2^m - m + 1) >= (2^m - m + 1)^m >= 2^(m^2/2), with both sides formed
+    for m in range(2, 201):
+        mid = ((1 << m) - m + 1) ** m
+        big = falling_factorial_2m(m, m) >= mid and mid * mid >= 1 << (m * m)
+        assert _square_chain_holds(m) == big, m
 
 
 def test_repelling_constants_closed_form():
