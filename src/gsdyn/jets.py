@@ -2,9 +2,10 @@
 
 A jet carries f^(n)(center) for n = 0..N as (sign, log-magnitude) pairs,
 plus an exact Fraction track (with a Fraction center) when the underlying
-data is rational.  One Taylor substitution, `_compose_series`, serves all
-three arithmetics: Fractions and sign-log pairs in `compose_jet`, numpy rows
-in `Composed.grid_jets`.  The multiplicity-partition sum
+data is rational.  One Taylor substitution, `_compose_series`, serves three
+arithmetics: Fractions and sign-log pairs in `compose_jet`, numpy rows in
+`Composed.grid_jets`; `fixed_point_jets` composes cut series on integer forms
+(`polynomials._compose_ints`).  The multiplicity-partition sum
 `compose_jet_partitions` is kept as the independent oracle.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import logspace as ls
 from .errors import DomainError, GsdynError, ResourceLimitError
 from .logspace import SLog, ZERO
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _compose_ints, _over_lcm
 
 JET_ORDER_CAP = 512
 JET_TABLE_CAP = 1 << 23  # entries (order+1) x (points+1) of a grid jet table
@@ -122,17 +123,22 @@ def jet_of_polynomial(psi: Polynomial, x0, order: int) -> Jet:
 def fixed_point_jets(psi: Polynomial, x0, order: int) -> List[Jet]:
     """Exact order-`order` jets of psi^1, ..., psi^order at a fixed point x0.
 
-    Since psi(x0) = x0, the jet of psi^(m+1) is psi's own jet composed with
-    that of psi^m (truncated power series composition), so the iterates of
-    degree deg(psi)^m are never formed.  psi's jet has deg(psi) + 1 nonzero
-    Taylor terms, and Horner starts at its top one: deg(psi) Horner steps per
-    layer, whatever the order.  A non-fixed x0 fails the centre check of
-    `compose_jet` (DomainError) once order >= 2.
+    With phi(t) = psi(x0 + t) - x0 and phi(0) = 0, psi^m(x0 + t) = x0 +
+    phi^m(t), whose order-N jet needs phi^m only to t^N: each layer is phi
+    composed with the last one and cut after t^N, on integer forms, so the
+    iterates of degree deg(psi)^m are never formed.  That is deg(psi) cut
+    products per layer, whatever the order; entry n is n! times the t^n
+    coefficient.  A non-fixed x0 raises compose_jet's DomainError at order >= 2.
     """
     base = jet_of_polynomial(psi, x0, order)
-    jets = [base]
+    jets, x0 = [base], base.center
+    if order >= 2 and base.exact[0] != x0:
+        raise DomainError("outer jet is not centered at psi(center)")
+    c, e = a, q = _over_lcm(Polynomial.of([0] + [v / math.factorial(n) for n, v in enumerate(base.exact) if n]))
     for _ in range(order - 1):
-        jets.append(compose_jet(base, jets[-1], order))
+        c, e = _compose_ints(a, q, c, e, order)
+        taylor = [Fraction(v * math.factorial(n), e) for n, v in enumerate(c) if n]
+        jets.append(Jet.from_exact(x0, [x0] + taylor + [0] * (order + 1 - len(c))))
     return jets
 
 
@@ -150,12 +156,10 @@ def _taylor_slogs(jet: Jet, order: int) -> List[SLog]:
 
 
 def _compose_series(f_t: Sequence, p_t: Sequence, order: int, mul=operator.mul, total=sum) -> list:
-    """Taylor coefficients of f(p(t)) to `order` from those of f and of p; p_t[0]
-    is ignored (f is expanded at p(0)).  Horner in f: acc <- f_k + acc * (p - p_0),
-    each coefficient summed with i ascending.  Horner starts at f_t's last entry,
-    so f_t may end at f's top nonzero term: the result has order + 1 entries,
-    or just [f_t[0]] when f_t has one.  The arithmetic is the caller's:
-    Fractions, (sign, log) pairs with slog_mul/slog_sum, or numpy rows."""
+    """Taylor coefficients of f(p(t)) to `order` from order + 1 of f and of p;
+    p_t[0] is ignored (f is expanded at p(0)).  Horner in f: acc <- f_k + acc *
+    (p - p_0), each coefficient summed with i ascending.  The arithmetic is the
+    caller's: Fractions, (sign, log) pairs with slog_mul/slog_sum, or numpy rows."""
     acc = [f_t[-1]]
     for k in range(len(f_t) - 2, -1, -1):
         acc = [f_t[k]] + [
@@ -176,13 +180,9 @@ def compose_jet(f: Jet, psi: Jet, order: int) -> Jet:
     if f.exact is not None and psi.exact is not None:
         if f.center != psi.exact[0]:
             raise DomainError("outer jet is not centered at psi(center)")
-        # Horner from f's top nonzero Taylor term: a polynomial's jet has
-        # deg + 1 of them, whatever the order
-        top = max((n for n in range(order + 1) if f.exact[n]), default=0)
-        f_t = [f.exact[n] / math.factorial(n) for n in range(top + 1)]
+        f_t = [f.exact[n] / math.factorial(n) for n in range(order + 1)]
         p_t = [psi.exact[n] / math.factorial(n) for n in range(order + 1)]
         c = _compose_series(f_t, p_t, order)
-        c += [Fraction(0)] * (order + 1 - len(c))
         return Jet.from_exact(psi.center, [c[n] * math.factorial(n) for n in range(order + 1)])
     c = _compose_series(
         _taylor_slogs(f, order), _taylor_slogs(psi, order), order, ls.slog_mul, ls.slog_sum

@@ -1,12 +1,13 @@
 """Exact univariate polynomials: iteration, fixed points, affine normal forms.
 
-A Polynomial's coefficients are Fractions.  Fixed-point classification is
-the hypothesis of the growth theorems, so roots are isolated with exact sign
-counts (Sturm chains) and rational bisection, and refined by quadratic
-interval refinement: a secant only guesses which subinterval holds the root,
-and exact signs at its ends confirm it.  Isolation reads only signs, so it
-runs on integer primitive forms: Sturm chains by primitive pseudo-remainders,
-and values at rational points n/d as d^deg p(n/d) by Horner over ints.
+A Polynomial's coefficients are Fractions; composition runs on integer forms
+a / q (`_compose_ints`, behind `compose`, `iterate` and `jets.fixed_point_jets`).
+Fixed-point classification is the hypothesis of the growth theorems, so roots
+are isolated with exact sign counts (Sturm chains) and rational bisection, and
+refined by quadratic interval refinement: a secant only guesses which
+subinterval holds the root, and exact signs at its ends confirm it.  Isolation
+reads only signs, so it runs on integer primitive forms: Sturm chains by
+primitive pseudo-remainders, values at n/d as d^deg p(n/d) by Horner over ints.
 Bisection from the Cauchy bound B visits only points B u / 2^k, so the chain
 is scaled by B once and each sign is a Horner whose denominator powers are
 shifts; points at or past the root radius R, a power of two above Fujiwara's
@@ -27,7 +28,7 @@ from .errors import DomainError, ResourceLimitError, VerificationError
 _ZERO = Fraction(0)
 
 DEGREE_CAP = 4096
-ITERATE_WORK_CAP = 2**31  # x^2 - 39/10 x + 111/25: 1.2e9 at m = 9 (2 s), 9.5e9 at m = 10 (16 s)
+ITERATE_WORK_CAP = 2**31  # x^2 - 39/10 x + 111/25: 1.2e9 at m = 9 (0.15 s), 9.5e9 at m = 10 (1.8 s)
 
 
 def _to_fraction(x) -> Fraction:
@@ -105,11 +106,9 @@ class Polynomial:
         return Polynomial.of(out)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)) by Horner over polynomials."""
-        acc = Polynomial.of([self.coeffs[-1]])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * inner + Polynomial.of([c])
-        return acc
+        """self(inner(x)), exactly."""
+        c, e = _compose_ints(*_over_lcm(self), *_over_lcm(inner))
+        return Polynomial.of([Fraction(x, e) for x in c])
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -133,7 +132,7 @@ class Polynomial:
 def iterate(psi: Polynomial, m: int) -> Polynomial:
     """The m-fold composition of psi with itself.  Before expanding: with
     q psi = P integral, h = log2 max(q, |P|_1) and D = deg psi, psi^m's
-    coefficients have at most h (D^m - 1)/(D - 1) bits, and Horner
+    coefficients have at most h (D^m - 1)/(D - 1) bits, and integer Horner
     composition costs about terms^2 times that: D^(2m), or 1 for a monomial."""
     if m < 0:
         raise DomainError("iteration count must be >= 0, got %r" % (m,))
@@ -144,17 +143,48 @@ def iterate(psi: Polynomial, m: int) -> Polynomial:
         raise ResourceLimitError(
             "iterate degree %d^%d exceeds the cap %d" % (deg, m, DEGREE_CAP)
         )
-    q = math.lcm(*(c.denominator for c in psi.coeffs))
-    h = math.log2(max(q, sum(abs(c.numerator) * (q // c.denominator) for c in psi.coeffs)))
+    a, q = _over_lcm(psi)
+    h = math.log2(max(q, sum(map(abs, a))))
     bits = h * m if deg == 1 else h * (deg**m - 1) / (deg - 1)
     terms = deg**m if sum(c != 0 for c in psi.coeffs) > 1 else 1
     if terms**2 * max(bits, 1.0) > ITERATE_WORK_CAP:
         raise ResourceLimitError("iterate %d^%d: terms^2 x coefficient bits (up to %.0f) exceeds "
                                  "the work cap %.3g" % (deg, m, bits, ITERATE_WORK_CAP))
-    result = psi
+    c, e = a, q
     for _ in range(m - 1):
-        result = psi.compose(result)
-    return result
+        c, e = _compose_ints(a, q, c, e)
+    return Polynomial.of([Fraction(x, e) for x in c])
+
+
+def _over_lcm(p: Polynomial) -> Tuple[List[int], int]:
+    """(a, q) with p = a / q: integer coefficients over their common denominator."""
+    q = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (q // c.denominator) for c in p.coeffs], q
+
+
+def _mul(a: List[int], b: List[int], size: int) -> List[int]:
+    """The first `size` coefficients of a b."""
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:  # sparse iterates, like those of x^2, stay linear
+            for j, y in enumerate(b[:size - i], i):
+                out[j] += x * y
+    return out
+
+
+def _compose_ints(a: List[int], q: int, n: List[int], d: int, order: Optional[int] = None) -> Tuple[List[int], int]:
+    """(c, e) with c / e = (a / q)(n / d) in lowest terms, cut after t^order
+    when an order is given.  Horner on q a(n / d) = acc / e: acc <- acc n +
+    a_i e d and e <- e d, each step divided by gcd(e, content of acc)."""
+    acc, e = [a[-1]], 1
+    for c in reversed(a[:-1]):
+        size = len(acc) + len(n) - 1
+        acc, e = _mul(acc, n, size if order is None else min(size, order + 1)), e * d
+        acc[0] += c * e
+        g = math.gcd(e, *acc)
+        acc, e = [x // g for x in acc], e // g
+    g = math.gcd(q, *acc)
+    return [x // g for x in acc], q // g * e
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +233,10 @@ def normal_form_degree1(psi: Polynomial) -> NormalForm:
 # --------------------------------------------------------------------------
 
 
-def _float(x: Fraction, point: Fraction) -> float:
-    """float(x), or a ResourceLimitError naming the fixed point it belongs to."""
+def _float(num: int, den: int, point: Fraction) -> float:
+    """num / den correctly rounded, or a ResourceLimitError naming the fixed point."""
     try:
-        return float(x)
+        return num / den
     except OverflowError:
         near = format(Decimal(point.numerator) / Decimal(point.denominator), ".10g")
         raise ResourceLimitError("fixed point at %s: a value overflows a float" % near) from None
@@ -222,7 +252,7 @@ class FixedPoint:
     @property
     def value(self) -> float:
         mid = self.location if self.exact else (self.location[0] + self.location[1]) / 2
-        return _float(mid, mid)
+        return _float(mid.numerator, mid.denominator, mid)
 
 
 @dataclass(frozen=True)
@@ -242,10 +272,7 @@ def _primitive(a: List[int]) -> List[int]:
 
 def _int_form(p: Polynomial) -> List[int]:
     """p times a positive rational: coprime integer coefficients."""
-    if p.is_zero():
-        return []
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return [] if p.is_zero() else _primitive(_over_lcm(p)[0])
 
 
 def _trim(a: List[int]) -> List[int]:
@@ -289,9 +316,10 @@ def _derivative(a: List[int]) -> List[int]:
     return _primitive([i * c for i, c in enumerate(a)][1:])
 
 
-def _square_free(a: List[int]) -> List[int]:
-    """A positive multiple of a / gcd(a, a') for a of degree >= 1."""
-    g = _sturm_chain(a, _derivative(a))[-1]
+def _square_free(a: List[int], chain: Optional[List[List[int]]] = None) -> List[int]:
+    """A positive multiple of a / gcd(a, a') for a of degree >= 1 (a itself
+    if the gcd is constant); `chain`, if given, is a's Sturm chain."""
+    g = (chain or _sturm_chain(a, _derivative(a)))[-1]
     if len(g) == 1:
         return a
     q = _primitive(_prem(a, g)[0])
@@ -362,15 +390,16 @@ def _grid_signs(scaled: Sequence[List[int]], u: int, k: int) -> List[int]:
     return signs
 
 
-def _isolate_roots(p: List[int]) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint intervals (lo, hi], one simple root each; p must be square-free.
+def _isolate_roots(p: List[int], chain: Optional[List[List[int]]] = None) -> List[Tuple[Fraction, Fraction]]:
+    """Disjoint intervals (lo, hi], one simple root each; p must be square-free
+    and `chain`, if given, its Sturm chain.
 
     Bisection from (-B, B], B the Cauchy bound, so every point it visits is
     B u / 2^k: the stack holds (u_a, V(a), u_b, V(b), k) with V the Sturm sign
     variations, so the chain is evaluated once per point, and only at points
     inside the root radius R.  No root lies at or past R, so there V is its
     value at +-infinity, read off the leading coefficients."""
-    chain = _sturm_chain(p, _derivative(p))
+    chain = chain or _sturm_chain(p, _derivative(p))
     bound = _cauchy_bound(p)
     n, d, r = bound.numerator, bound.denominator, _root_radius(p)
     # d^deg q(B t) = sum of c_i n^i d^(deg - i) t^i, positive multiples kept primitive
@@ -516,6 +545,14 @@ def _kind_near_one(
     return ("repelling" if _sign_at(s, lo) > 0 else "attracting"), lo, hi
 
 
+def _multiplier(dpsi: Tuple[List[int], int], x: Fraction) -> Tuple[float, int]:
+    """|psi'(x)| as a float and the sign of |psi'(x)| - 1, for psi' = b / q
+    given as (b, q): |d^deg b(n/d)| / (q d^deg) at x = n/d, over ints."""
+    (b, q), d = dpsi, x.denominator
+    num, den = abs(_horner(_homogenize(b, d), x.numerator)), q * d ** (len(b) - 1)
+    return _float(num, den, x), _sign(num - den)
+
+
 def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
     """All real solutions of psi(x) = x in ascending order (that of their
     isolating intervals), classified by |psi'|."""
@@ -526,25 +563,27 @@ def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
         return AllPointsFixed()
     if r.degree == 0:
         return []
-    r_sf = _square_free(_int_form(r))
-    dpsi = psi.derivative()
+    r_int = _int_form(r)
+    chain = _sturm_chain(r_int, _derivative(r_int))
+    r_sf = _square_free(r_int, chain)
+    dpsi = _over_lcm(psi.derivative())
     out: List[FixedPoint] = []
-    for lo, hi in _isolate_roots(r_sf):
+    for lo, hi in _isolate_roots(r_sf, chain if r_sf is r_int else None):
         lo, hi = _refine(r_sf, lo, hi, Fraction(1, 10 ** 13))
         exact_root = lo if lo == hi else _snap_rational(r_sf, lo, hi)
         if exact_root is not None:
-            mult = abs(dpsi(exact_root))
-            kind = "repelling" if mult > 1 else ("neutral" if mult == 1 else "attracting")
-            out.append(FixedPoint(exact_root, _float(mult, exact_root), kind, True))
+            mult, above = _multiplier(dpsi, exact_root)
+            kind = ("attracting", "neutral", "repelling")[above + 1]
+            out.append(FixedPoint(exact_root, mult, kind, True))
             continue
         # irrational root: classify at the midpoint, exactly when the float is ambiguous
         mid = (lo + hi) / 2
-        mult = abs(_float(dpsi(mid), mid))
+        mult = _multiplier(dpsi, mid)[0]
         if abs(mult - 1.0) > 1e-9:
             kind = "repelling" if mult > 1 else "attracting"
         else:
-            kind, lo, hi = _kind_near_one(r_sf, dpsi, lo, hi)
+            kind, lo, hi = _kind_near_one(r_sf, psi.derivative(), lo, hi)
             mid = (lo + hi) / 2
-            mult = 1.0 if kind == "neutral" else abs(_float(dpsi(mid), mid))
+            mult = 1.0 if kind == "neutral" else _multiplier(dpsi, mid)[0]
         out.append(FixedPoint((lo, hi), mult, kind, False))
     return out

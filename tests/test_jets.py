@@ -1,13 +1,12 @@
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsdyn import jets as jets_module
+from gsdyn import polynomials
 from gsdyn.errors import DomainError, ResourceLimitError
 from gsdyn.jets import (
     Composed,
@@ -145,8 +144,7 @@ taylor = st.lists(
 @settings(max_examples=40, deadline=None)
 def test_sparse_outer_jets_match_the_partition_sum(outer, inner, order, flat_outer, flat_inner):
     # polynomials of degree <= 4 given by their Taylor coefficients at the
-    # point, so f'(y0) = 0 and g'(x0) = 0 are drawn on purpose; the exact
-    # track's Horner starts at f's top nonzero term
+    # point, so f'(y0) = 0 and g'(x0) = 0 are drawn on purpose
     outer[1] *= not flat_outer
     inner[1] *= not flat_inner
     x0 = Fraction(1, 3)
@@ -158,21 +156,52 @@ def test_sparse_outer_jets_match_the_partition_sum(outer, inner, order, flat_out
 
 
 def test_fixed_point_jets_of_a_quadratic_run_two_horner_steps_per_layer(monkeypatch):
-    # each Horner step sums `order` coefficients
-    steps = []
-    series = jets_module._compose_series
-
-    def spy(f_t, p_t, order, mul=operator.mul, total=sum):
-        sums = []
-        out = series(f_t, p_t, order, mul, lambda terms: sums.append(1) or total(terms))
-        steps.append(len(sums) / order)
-        return out
-
-    monkeypatch.setattr(jets_module, "_compose_series", spy)
+    # each Horner step is one product of integer series cut after t^order
+    sizes = []
+    mul = polynomials._mul
+    monkeypatch.setattr(polynomials, "_mul", lambda a, b, size: sizes.append(size) or mul(a, b, size))
     psi = Polynomial.parse("111/25,-39/10,1")  # fixes 6/5 with multiplier -3/2
     jets = fixed_point_jets(psi, Fraction(6, 5), 12)
-    assert steps == [2] * 11
+    assert len(sizes) == 2 * 11 and max(sizes) == 13
+    monkeypatch.setattr(polynomials, "_mul", mul)
     assert jets[4].exact == jet_of_polynomial(iterate(psi, 5), Fraction(6, 5), 12).exact
+
+
+def _jets_by_compose_jet(psi, x0, order):
+    """The compose_jet chain fixed_point_jets is defined by: psi's jet
+    composed with that of psi^m, layer by layer."""
+    base = jet_of_polynomial(psi, x0, order)
+    jets = [base]
+    for _ in range(order - 1):
+        jets.append(compose_jet(base, jets[-1], order))
+    return jets
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return (type(exc), str(exc))
+
+
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=1, max_size=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=9),
+    st.integers(min_value=0, max_value=12),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+@example([Fraction(-3, 2)], Fraction(1, 3), 12, False)  # degree 1
+@example([Fraction(2), Fraction(0), Fraction(-1)], Fraction(1, 2), 12, False)  # a cubic
+@example([Fraction(2), Fraction(1)], Fraction(1), 12, True)  # not fixed at 2
+def test_fixed_point_jets_match_the_compose_jet_chain(taylor, x0, order, moved):
+    # psi = x0 + sum of a_k (x - x0)^k, of degree 1 to 3 (0 if every a_k is 0);
+    # `moved` asks at a point psi does not fix, which fails from order 2 on
+    psi = Polynomial.of([x0] + taylor).compose(Polynomial.of([-x0, 1]))
+    at = x0 + 1 if moved and psi(x0 + 1) != x0 + 1 else x0
+    got = _outcome(fixed_point_jets, psi, at, order)
+    assert got == _outcome(_jets_by_compose_jet, psi, at, order)
+    assert isinstance(got, tuple) == (at != x0 and order >= 2)
 
 
 def test_fixed_point_jets_cubic_and_non_fixed_point():

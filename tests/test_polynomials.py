@@ -18,6 +18,8 @@ from gsdyn.polynomials import (
     _derivative,
     _int_form,
     _isolate_roots,
+    _multiplier,
+    _over_lcm,
     _prem,
     _refine,
     _root_radius,
@@ -61,7 +63,7 @@ def test_iterate_work_cap():
     # the cost is predicted from psi's degree and height before expanding:
     # x^2 keeps 1-bit coefficients at degree 4096, and 2x^2 stays a monomial,
     # but this quadratic's coefficients double per step (degree 256 at m = 8
-    # is 0.3 s, 2^10 would be 16 s)
+    # is 0.02 s, 2^10 would be 1.8 s)
     psi = Polynomial.parse("111/25,-39/10,1")
     assert iterate(psi, 8).degree == 256
     assert iterate(X2, 12).degree == 4096
@@ -646,3 +648,95 @@ def test_isolation_matches_the_fraction_bisection_on_the_bench_iterates():
             bound, radius = _cauchy_bound(p), Fraction(2) ** _root_radius(p)
             for sign in (1, -1):
                 assert _variations(chain, sign * radius) == _variations(chain, sign * bound)
+
+
+# --------------------------------------------------------------------------
+# integer composition and the multiplier against the Fraction arithmetic
+# they replace
+# --------------------------------------------------------------------------
+
+
+def _compose_by_fractions(outer, inner):
+    """outer(inner(x)) by Horner over Fraction polynomials: the composition
+    that Polynomial.compose and iterate are defined by."""
+    acc = Polynomial.of([outer.coeffs[-1]])
+    for c in reversed(outer.coeffs[:-1]):
+        acc = acc * inner + Polynomial.of([c])
+    return acc
+
+
+exact_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(Fraction, st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+              st.integers(min_value=1, max_value=10 ** 30)),
+)
+exact_polys = st.one_of(
+    st.lists(exact_coeffs, min_size=1, max_size=4).map(Polynomial.of),  # degrees 0 to 3
+    st.builds(lambda c, k: Polynomial.of([0] * k + [c]), exact_coeffs, st.integers(0, 3)),  # monomials
+)
+
+
+@given(exact_polys, exact_polys)
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_the_fraction_horner(outer, inner):
+    assert outer.compose(inner) == _compose_by_fractions(outer, inner)
+
+
+@given(exact_polys, st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_iterate_matches_the_fraction_horner(psi, m):
+    sparse = sum(c != 0 for c in psi.coeffs) <= 1
+    assume(sparse or max(psi.degree, 1) ** m <= 32)  # the oracle is slow on dense iterates
+    expected = Polynomial.x()
+    for _ in range(m):
+        expected = _compose_by_fractions(psi, expected)
+    assert iterate(psi, m) == expected
+
+
+def test_multiplier_matches_the_fraction_float_on_the_bench_iterates():
+    # every multiplier fixed_points reports is float(|psi'|) at the exact root
+    # or at the midpoint of its interval, bit for bit
+    for psi in _bench_quadratics():
+        for m in (4, 5):
+            it = iterate(psi, m)
+            dpsi = it.derivative()
+            for p in fixed_points(it):
+                mid = p.location if p.exact else (p.location[0] + p.location[1]) / 2
+                assert p.multiplier == float(abs(dpsi(mid)))
+
+
+@given(st.lists(exact_coeffs, min_size=1, max_size=5), exact_coeffs)
+@settings(max_examples=100, deadline=None)
+@example([Fraction(0), Fraction(10 ** 400)], Fraction(1))
+@example([Fraction(1, 3), Fraction(2, 3)], Fraction(1, 2))  # |psi'| = 1 exactly
+def test_multiplier_is_the_fraction_float_and_the_exact_kind(coeffs, x):
+    dpsi = Polynomial.of(coeffs)
+    value = abs(dpsi(x))
+    try:
+        expected = float(value)
+    except OverflowError:
+        with pytest.raises(ResourceLimitError, match="overflows a float"):
+            _multiplier(_over_lcm(dpsi), x)
+        return
+    assert _multiplier(_over_lcm(dpsi), x) == (expected, (value > 1) - (value < 1))
+
+
+def test_sturm_chain_built_once_for_square_free_iterates(monkeypatch):
+    # r = psi^m - x: its chain finds gcd(r, r'), and isolation reuses it when
+    # that gcd is constant; otherwise the square-free part gets its own chain
+    calls = []
+    chain = polynomials._sturm_chain
+    counted = {True: 0, False: 0}
+    for psi in _bench_quadratics():
+        for m in (4, 5):
+            it = iterate(psi, m)
+            r = _int_form(it - Polynomial.x())
+            square_free = len(chain(r, _derivative(r))[-1]) == 1
+            monkeypatch.setattr(polynomials, "_sturm_chain", lambda *a: calls.append(1) or chain(*a))
+            calls.clear()
+            fixed_points(it)
+            monkeypatch.setattr(polynomials, "_sturm_chain", chain)
+            assert len(calls) == (1 if square_free else 2)
+            counted[square_free] += 1
+    assert counted == {True: 36, False: 20}
