@@ -7,10 +7,11 @@ and its mirror image, 56 in all; the fixed-point jets are those of the 14
 quadratics at their fixed points, to the order witness_repelling uses.  Each
 stage runs on the outputs of the one before it, computed once, so a stage is
 timed alone: the iterates; the square-free part of psi^m(x) - x and its
-Sturm chain; root isolation; refinement to 1e-13; snapping to a rational;
-the multiplier |psi'| at each root; fixed_point_jets.  It prints one JSON
-object: the median of five timings per stage, in seconds, and the count of
-what each stage ran on.
+Sturm chain; root isolation; refinement to min(1e-13, 1/L), L the leading
+coefficient's modulus; the rational root test, one sign at the one k/L in
+each cell refinement leaves; the multiplier |psi'| at each root;
+fixed_point_jets.  It prints one JSON object: the median of five timings per
+stage, in seconds, and the count of what each stage ran on.
 """
 
 import json
@@ -27,7 +28,7 @@ from gsdyn.witnesses import JET_CHECK_MAX
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
-WIDTH = Fraction(1, 10 ** 13)  # fixed_points' refinement width
+WIDTH = Fraction(1, 10 ** 13)  # the width of fixed_points' irrational cells
 JET_ORDER = min(workloads.REPELLING_M_MAX, JET_CHECK_MAX)
 
 
@@ -58,26 +59,30 @@ def main() -> None:
     forms = [square_free(it) for it in iterates]
     cells, inexact, points = [], [], []
     for it, (r_sf, chain) in zip(iterates, forms):
-        dpsi = P._over_lcm(it.derivative())
+        dpsi = it.derivative()
+        width = min(WIDTH, Fraction(1, abs(r_sf[-1])))
         for lo, hi in P._isolate_roots(r_sf, chain):
-            cells.append((r_sf, lo, hi))
-            lo, hi = P._refine(r_sf, lo, hi, WIDTH)
-            exact = lo
-            if lo != hi:
-                inexact.append((r_sf, lo, hi))
-                exact = P._snap_rational(r_sf, lo, hi)
-            points.append((dpsi, (lo + hi) / 2 if exact is None else exact))
+            cells.append((r_sf, lo, hi, width))
+            a, b = P._refine(r_sf, lo, hi, width)
+            point = a
+            if a != b:
+                inexact.append((r_sf, a, b))
+                point = P._rational_root(r_sf, a, b)
+            if point is None:  # the midpoint of the WIDTH cell that holds (a, b]
+                w = (hi - lo) / 2 ** P._level(hi - lo, WIDTH)
+                point = lo + (a - lo) // w * w + w / 2
+            points.append((dpsi, point))
     stages = {
         "iterate": (P.iterate, pairs),
         "square_free_and_chain": (square_free, [(it,) for it in iterates]),
         "isolation": (P._isolate_roots, forms),
-        "refinement": (lambda r_sf, lo, hi: P._refine(r_sf, lo, hi, WIDTH), cells),
-        "snapping": (P._snap_rational, inexact),
+        "refinement": (P._refine, cells),
+        "rational_root_test": (P._rational_root, inexact),
         "multiplier": (P._multiplier, points),
         "fixed_point_jets": (lambda psi, x0: J.fixed_point_jets(psi, x0, JET_ORDER), slots),
     }
     print(json.dumps({
-        "counts": {"iterates": len(iterates), "roots": len(cells), "snap_attempts": len(inexact),
+        "counts": {"iterates": len(iterates), "roots": len(cells), "rational_root_tests": len(inexact),
                    "jet_slots": len(slots), "jet_order": JET_ORDER},
         "median_s": {name: median_seconds(stage, inputs) for name, (stage, inputs) in stages.items()},
     }, indent=1))

@@ -4,9 +4,8 @@ A jet carries f^(n)(center) for n = 0..N as (sign, log-magnitude) pairs,
 plus an exact Fraction track (with a Fraction center) when the underlying
 data is rational.  One Taylor substitution, `_compose_series`, serves three
 arithmetics: Fractions and sign-log pairs in `compose_jet`, numpy rows in
-`Composed.grid_jets`; `fixed_point_jets` composes cut series on integer forms
-(`polynomials._compose_ints`).  The multiplicity-partition sum
-`compose_jet_partitions` is kept as the independent oracle.
+`Composed.grid_jets`; `fixed_point_jets` composes cut series with
+`Polynomial.compose`, on the polynomials' integer forms.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from . import logspace as ls
 from .errors import DomainError, GsdynError, ResourceLimitError
 from .logspace import SLog, ZERO
-from .polynomials import Polynomial, _compose_ints, _over_lcm
+from .polynomials import Polynomial
 
 JET_ORDER_CAP = 512
 JET_TABLE_CAP = 1 << 23  # entries (order+1) x (points+1) of a grid jet table
@@ -134,11 +133,11 @@ def fixed_point_jets(psi: Polynomial, x0, order: int) -> List[Jet]:
     jets, x0 = [base], base.center
     if order >= 2 and base.exact[0] != x0:
         raise DomainError("outer jet is not centered at psi(center)")
-    c, e = a, q = _over_lcm(Polynomial.of([0] + [v / math.factorial(n) for n, v in enumerate(base.exact) if n]))
+    phi = layer = Polynomial.of([0] + [v / math.factorial(n) for n, v in enumerate(base.exact) if n])
     for _ in range(order - 1):
-        c, e = _compose_ints(a, q, c, e, order)
-        taylor = [Fraction(v * math.factorial(n), e) for n, v in enumerate(c) if n]
-        jets.append(Jet.from_exact(x0, [x0] + taylor + [0] * (order + 1 - len(c))))
+        layer = phi.compose(layer, order)
+        taylor = [Fraction(v * math.factorial(n), layer.den) for n, v in enumerate(layer.num) if n]
+        jets.append(Jet.from_exact(x0, [x0] + taylor + [0] * (order + 1 - len(layer.num))))
     return jets
 
 
@@ -169,14 +168,10 @@ def _compose_series(f_t: Sequence, p_t: Sequence, order: int, mul=operator.mul, 
     return acc
 
 
-def _check_orders(f: Jet, psi: Jet, order: int) -> None:
-    if f.order < order or psi.order < order:
-        raise DomainError("compose_jet needs both jets to carry order >= %d" % (order,))
-
-
 def compose_jet(f: Jet, psi: Jet, order: int) -> Jet:
     """Jet of f o psi at psi's center; f must be centered at psi(center)."""
-    _check_orders(f, psi, order)
+    if f.order < order or psi.order < order:
+        raise DomainError("compose_jet needs both jets to carry order >= %d" % (order,))
     if f.exact is not None and psi.exact is not None:
         if f.center != psi.exact[0]:
             raise DomainError("outer jet is not centered at psi(center)")
@@ -189,32 +184,6 @@ def compose_jet(f: Jet, psi: Jet, order: int) -> Jet:
     )
     entries = [(s, l + math.lgamma(n + 1)) if s != 0 else ZERO for n, (s, l) in enumerate(c)]
     return Jet.from_slogs(psi.center, entries)
-
-
-def compose_jet_partitions(f: Jet, psi: Jet, order: int) -> Jet:
-    """Oracle path: the explicit Faa di Bruno partition sum, term by term."""
-    _check_orders(f, psi, order)
-    if f.exact is not None and psi.exact is not None:
-        lift, mul, power, total = Fraction, operator.mul, operator.pow, sum
-        f_v, p_v, make = f.exact, psi.exact, Jet.from_exact
-    else:
-        lift, mul, power, total = ls.slog_of_fraction, ls.slog_mul, ls.slog_pow, ls.slog_sum
-        f_v, p_v = list(zip(f.signs, f.logs)), list(zip(psi.signs, psi.logs))
-        make = Jet.from_slogs
-    out = [f_v[0]]
-    for j in range(1, order + 1):
-        terms = []
-        for k in multiplicity_partitions(j):
-            coeff = Fraction(math.factorial(j))
-            for ell, kl in enumerate(k, start=1):
-                coeff /= math.factorial(kl) * math.factorial(ell) ** kl
-            t = mul(lift(coeff), f_v[sum(k)])
-            for ell, kl in enumerate(k, start=1):
-                if kl:
-                    t = mul(t, power(p_v[ell], kl))
-            terms.append(t)
-        out.append(total(terms))
-    return make(psi.center, out)
 
 
 # --------------------------------------------------------------------------

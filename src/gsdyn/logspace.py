@@ -18,7 +18,6 @@ LN2 = math.log(2.0)
 SLog = Tuple[int, float]
 
 ZERO: SLog = (0, NEG_INF)
-ONE: SLog = (1, 0.0)
 
 
 def number_literal(x: float) -> str:
@@ -53,15 +52,6 @@ def slog_mul(a: SLog, b: SLog) -> SLog:
     if a[0] == 0 or b[0] == 0:
         return ZERO
     return (a[0] * b[0], a[1] + b[1])
-
-
-def slog_pow(a: SLog, k: int) -> SLog:
-    if k == 0:
-        return ONE
-    if a[0] == 0:
-        return ZERO
-    sign = 1 if (a[0] > 0 or k % 2 == 0) else -1
-    return (sign, a[1] * k)
 
 
 def slog_sum(terms: Iterable[SLog]) -> SLog:

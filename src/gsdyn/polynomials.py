@@ -1,7 +1,7 @@
 """Exact univariate polynomials: iteration, fixed points, affine normal forms.
 
-A Polynomial's coefficients are Fractions; composition runs on integer forms
-a / q (`_compose_ints`, behind `compose`, `iterate` and `jets.fixed_point_jets`).
+A Polynomial is integer coefficients over one positive denominator, in lowest
+terms, and every operation runs on those ints; `coeffs` gives the Fractions.
 Fixed-point classification is the hypothesis of the growth theorems, so roots
 are isolated with exact sign counts (Sturm chains) and rational bisection, and
 refined by quadratic interval refinement: a secant only guesses which
@@ -11,7 +11,8 @@ primitive pseudo-remainders, values at n/d as d^deg p(n/d) by Horner over ints.
 Bisection from the Cauchy bound B visits only points B u / 2^k, so the chain
 is scaled by B once and each sign is a Horner whose denominator powers are
 shifts; points at or past the root radius R, a power of two above Fujiwara's
-bound, have the sign variations of +-infinity and are not evaluated.
+bound, have the sign variations of +-infinity and are not evaluated.  A root
+is exact iff it is rational, and then it is k / |lead(p)| for an integer k.
 x^2 + 1/4 and x^2 + 0.2500001 must land on different sides.
 """
 
@@ -24,8 +25,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-
-_ZERO = Fraction(0)
 
 DEGREE_CAP = 4096
 ITERATE_WORK_CAP = 2**31  # x^2 - 39/10 x + 111/25: 1.2e9 at m = 9 (0.15 s), 9.5e9 at m = 10 (1.8 s)
@@ -45,16 +44,16 @@ def _to_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Ascending coefficients, canonical (no trailing zeros)."""
+    """Ascending coefficients num[i] / den in lowest terms, den > 0, no trailing zeros."""
 
-    coeffs: Tuple[Fraction, ...]
+    num: Tuple[int, ...]
+    den: int
 
     @staticmethod
     def of(coeffs: Sequence) -> "Polynomial":
         cs = [_to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs) if cs else (_ZERO,))
+        den = math.lcm(*(c.denominator for c in cs))
+        return _lowest([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def parse(text: str) -> "Polynomial":
@@ -67,53 +66,61 @@ class Polynomial:
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial.of([0, 1])
+        return Polynomial((0, 1), 1)
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return self.coeffs == (_ZERO,)
+        return self.num == (0,)
 
     def __call__(self, x):
-        cs = self.coeffs if isinstance(x, Fraction) else [float(c) for c in self.coeffs]
+        # int true division is correctly rounded: float(Fraction), bit for bit
+        cs = self.coeffs if isinstance(x, Fraction) else [c / self.den for c in self.num]
         acc = cs[-1]
         for c in reversed(cs[:-1]):
             acc = acc * x + c
         return acc
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [_ZERO] * (n - len(other.coeffs))
-        return Polynomial.of([x + y for x, y in zip(a, b)])
+        den, n = math.lcm(self.den, other.den), max(len(self.num), len(other.num))
+        a, b = ([c * (den // p.den) for c in p.num] + [0] * (n - len(p.num)) for p in (self, other))
+        return _lowest([x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Polynomial":
         c = _to_fraction(c)
-        return Polynomial.of([c * a for a in self.coeffs])
+        return _lowest([c.numerator * a for a in self.num], c.denominator * self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.of(out)
+        return _lowest(_mul(self.num, other.num, len(self.num) + len(other.num) - 1), self.den * other.den)
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)), exactly."""
-        c, e = _compose_ints(*_over_lcm(self), *_over_lcm(inner))
-        return Polynomial.of([Fraction(x, e) for x in c])
+    def compose(self, inner: "Polynomial", order: Optional[int] = None) -> "Polynomial":
+        """self(inner(x)), exactly, cut after x^order when an order is given.
+
+        Horner on den a(n / d) = acc / e, for self = a / den and inner = n / d:
+        acc <- acc n + a_i e d and e <- e d, each step divided by gcd(e,
+        content of acc), so the result is in lowest terms as it comes."""
+        a, n, d = self.num, inner.num, inner.den
+        acc, e = [a[-1]], 1
+        for c in reversed(a[:-1]):
+            size = len(acc) + len(n) - 1
+            acc, e = _mul(acc, n, size if order is None else min(size, order + 1)), e * d
+            acc[0] += c * e
+            g = math.gcd(e, *acc)
+            acc, e = [x // g for x in acc], e // g
+        g = math.gcd(self.den, *acc)
+        return Polynomial(tuple(_trim([x // g for x in acc])) or (0,), self.den // g * e)
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial.of([0])
-        return Polynomial.of([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _lowest([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def derivatives_at(self, x0, order: int) -> List[Fraction]:
         """Exact derivatives f^(n)(x0) for n = 0..order."""
@@ -127,6 +134,13 @@ class Polynomial:
 
     def spec(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
+
+
+def _lowest(num: List[int], den: int) -> Polynomial:
+    """num / den as a Polynomial: trailing zeros cut, common factors divided out."""
+    _trim(num)
+    g = math.gcd(den, *num)
+    return Polynomial(tuple(c // g for c in num) or (0,), den // g)
 
 
 def iterate(psi: Polynomial, m: int) -> Polynomial:
@@ -143,26 +157,19 @@ def iterate(psi: Polynomial, m: int) -> Polynomial:
         raise ResourceLimitError(
             "iterate degree %d^%d exceeds the cap %d" % (deg, m, DEGREE_CAP)
         )
-    a, q = _over_lcm(psi)
-    h = math.log2(max(q, sum(map(abs, a))))
+    h = math.log2(max(psi.den, sum(map(abs, psi.num))))
     bits = h * m if deg == 1 else h * (deg**m - 1) / (deg - 1)
-    terms = deg**m if sum(c != 0 for c in psi.coeffs) > 1 else 1
+    terms = deg**m if sum(c != 0 for c in psi.num) > 1 else 1
     if terms**2 * max(bits, 1.0) > ITERATE_WORK_CAP:
         raise ResourceLimitError("iterate %d^%d: terms^2 x coefficient bits (up to %.0f) exceeds "
                                  "the work cap %.3g" % (deg, m, bits, ITERATE_WORK_CAP))
-    c, e = a, q
+    out = psi
     for _ in range(m - 1):
-        c, e = _compose_ints(a, q, c, e)
-    return Polynomial.of([Fraction(x, e) for x in c])
+        out = psi.compose(out)
+    return out
 
 
-def _over_lcm(p: Polynomial) -> Tuple[List[int], int]:
-    """(a, q) with p = a / q: integer coefficients over their common denominator."""
-    q = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (q // c.denominator) for c in p.coeffs], q
-
-
-def _mul(a: List[int], b: List[int], size: int) -> List[int]:
+def _mul(a: Sequence[int], b: Sequence[int], size: int) -> List[int]:
     """The first `size` coefficients of a b."""
     out = [0] * size
     for i, x in enumerate(a[:size]):
@@ -170,21 +177,6 @@ def _mul(a: List[int], b: List[int], size: int) -> List[int]:
             for j, y in enumerate(b[:size - i], i):
                 out[j] += x * y
     return out
-
-
-def _compose_ints(a: List[int], q: int, n: List[int], d: int, order: Optional[int] = None) -> Tuple[List[int], int]:
-    """(c, e) with c / e = (a / q)(n / d) in lowest terms, cut after t^order
-    when an order is given.  Horner on q a(n / d) = acc / e: acc <- acc n +
-    a_i e d and e <- e d, each step divided by gcd(e, content of acc)."""
-    acc, e = [a[-1]], 1
-    for c in reversed(a[:-1]):
-        size = len(acc) + len(n) - 1
-        acc, e = _mul(acc, n, size if order is None else min(size, order + 1)), e * d
-        acc[0] += c * e
-        g = math.gcd(e, *acc)
-        acc, e = [x // g for x in acc], e // g
-    g = math.gcd(q, *acc)
-    return [x // g for x in acc], q // g * e
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +264,7 @@ def _primitive(a: List[int]) -> List[int]:
 
 def _int_form(p: Polynomial) -> List[int]:
     """p times a positive rational: coprime integer coefficients."""
-    return [] if p.is_zero() else _primitive(_over_lcm(p)[0])
+    return [] if p.is_zero() else _primitive(list(p.num))
 
 
 def _trim(a: List[int]) -> List[int]:
@@ -450,9 +442,14 @@ def _isolate_roots(p: List[int], chain: Optional[List[List[int]]] = None) -> Lis
     return out
 
 
+def _level(span: Fraction, width: Fraction) -> int:
+    """The least k >= 0 with span / 2^k <= width."""
+    return 0 if span <= width else (math.ceil(span / width) - 1).bit_length()
+
+
 def _refine(p: List[int], lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
     """The cell (lo + i w, lo + (i+1) w] of (lo, hi] that holds the one root
-    of p there, w = (hi - lo) / 2^k for the least k with w <= width; (g, g)
+    of p there, w = (hi - lo) / 2^_level(hi - lo, width); (g, g)
     when the root is a grid point g strictly inside.  Bisection gives the
     same result; `hi` may be a root and is never evaluated.
 
@@ -463,7 +460,7 @@ def _refine(p: List[int], lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[
     bisection step is taken and N is square-rooted.  The guess only picks an
     index, so every bracket is certified by signs.  Until the right end has a
     known value (b < hi), the steps are bisections."""
-    k = 0 if hi - lo <= width else (math.ceil((hi - lo) / width) - 1).bit_length()
+    k = _level(hi - lo, width)
     # grid point j is (base + j span) / d; every value is d^deg p there
     c = math.lcm(lo.denominator, hi.denominator)
     base = lo.numerator * (c // lo.denominator)
@@ -511,20 +508,20 @@ def _refine(p: List[int], lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[
     return (point(a), point(b))
 
 
-def _snap_rational(p: List[int], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
-    mid = (lo + hi) / 2
-    for den_cap in (1, 10, 10 ** 3, 10 ** 6, 10 ** 9):
-        cand = mid.limit_denominator(den_cap)
-        if lo < cand <= hi and _sign_at(p, cand) == 0:
-            return cand
-    return None
+def _rational_root(p: List[int], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+    """The root of p in (lo, hi] if it is rational, else None, for hi - lo <=
+    1 / L with L = |lead(p)|.  A rational root of p is k / L for an integer k
+    (the rational root theorem), and (lo, hi] holds at most one such point."""
+    lead = abs(p[-1])
+    cand = Fraction(hi.numerator * lead // hi.denominator, lead)
+    return cand if lo < cand and _sign_at(p, cand) == 0 else None
 
 
 def _kind_near_one(
     r_sf: List[int], dpsi: Polynomial, lo: Fraction, hi: Fraction
 ) -> Tuple[str, Fraction, Fraction]:
-    """The exact kind of the root of r_sf in (lo, hi], where |psi'| is too
-    close to 1 for a float, and the interval it was read on.
+    """The exact kind of the irrational root of r_sf in (lo, hi], where |psi'|
+    is too close to 1 for a float, and the interval it was read on.
 
     |psi'| - 1 has the sign of s = psi'^2 - 1.  The root is neutral iff
     gcd(r_sf, s) vanishes in (lo, hi]; that gcd divides r_sf, so it is
@@ -545,10 +542,10 @@ def _kind_near_one(
     return ("repelling" if _sign_at(s, lo) > 0 else "attracting"), lo, hi
 
 
-def _multiplier(dpsi: Tuple[List[int], int], x: Fraction) -> Tuple[float, int]:
-    """|psi'(x)| as a float and the sign of |psi'(x)| - 1, for psi' = b / q
-    given as (b, q): |d^deg b(n/d)| / (q d^deg) at x = n/d, over ints."""
-    (b, q), d = dpsi, x.denominator
+def _multiplier(dpsi: Polynomial, x: Fraction) -> Tuple[float, int]:
+    """|psi'(x)| as a float and the sign of |psi'(x)| - 1, for psi' = b / q:
+    |d^deg b(n/d)| / (q d^deg) at x = n/d, over ints."""
+    b, q, d = dpsi.num, dpsi.den, x.denominator
     num, den = abs(_horner(_homogenize(b, d), x.numerator)), q * d ** (len(b) - 1)
     return _float(num, den, x), _sign(num - den)
 
@@ -566,23 +563,27 @@ def fixed_points(psi: Polynomial) -> Union[List[FixedPoint], AllPointsFixed]:
     r_int = _int_form(r)
     chain = _sturm_chain(r_int, _derivative(r_int))
     r_sf = _square_free(r_int, chain)
-    dpsi = _over_lcm(psi.derivative())
+    dpsi = psi.derivative()
+    width = Fraction(1, 10 ** 13)
     out: List[FixedPoint] = []
     for lo, hi in _isolate_roots(r_sf, chain if r_sf is r_int else None):
-        lo, hi = _refine(r_sf, lo, hi, Fraction(1, 10 ** 13))
-        exact_root = lo if lo == hi else _snap_rational(r_sf, lo, hi)
+        a, b = _refine(r_sf, lo, hi, min(width, Fraction(1, abs(r_sf[-1]))))
+        exact_root = a if a == b else _rational_root(r_sf, a, b)
         if exact_root is not None:
             mult, above = _multiplier(dpsi, exact_root)
             kind = ("attracting", "neutral", "repelling")[above + 1]
             out.append(FixedPoint(exact_root, mult, kind, True))
             continue
-        # irrational root: classify at the midpoint, exactly when the float is ambiguous
+        # irrational root: the width cell that holds (a, b], classified at its midpoint
+        w = (hi - lo) / 2 ** _level(hi - lo, width)
+        lo += (a - lo) // w * w
+        hi = lo + w
         mid = (lo + hi) / 2
         mult = _multiplier(dpsi, mid)[0]
         if abs(mult - 1.0) > 1e-9:
             kind = "repelling" if mult > 1 else "attracting"
         else:
-            kind, lo, hi = _kind_near_one(r_sf, psi.derivative(), lo, hi)
+            kind, lo, hi = _kind_near_one(r_sf, dpsi, lo, hi)
             mid = (lo + hi) / 2
             mult = 1.0 if kind == "neutral" else _multiplier(dpsi, mid)[0]
         out.append(FixedPoint((lo, hi), mult, kind, False))

@@ -4,7 +4,10 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import gsdyn.cli as cli
 from gsdyn.cli import main
@@ -208,14 +211,31 @@ def test_poly_fixed_points_and_normal_form():
 
 
 def test_poly_fixed_points_past_the_float_range(capsys):
-    # 10^300 is snapped from the exact midpoint, so it comes out exact;
-    # 10^400 is found too, but its value is past the float range
+    # 10^300 is the one integer in its refined cell and a root, so it comes
+    # out exact; 10^400 is found too, but its value is past the float range
     assert main(["--format", "json", "poly", "fixed-points", "--psi", "-1e300,2"]) == 0
     (p,) = json.loads(capsys.readouterr().out)["fixed_points"]
     assert p["exact"] and p["location"] == str(10 ** 300) and p["value"] == 1e300
     assert main(["poly", "fixed-points", "--psi", "-1e400,2"]) == 3
     err = capsys.readouterr().err
     assert err == "inconclusive: fixed point at 1.000000000e+400: a value overflows a float\n"
+
+
+@pytest.mark.parametrize(
+    "psi, expected",
+    [
+        # 10^-20 + (1 + 10^-10) x fixes -10^-10
+        ("1/100000000000000000000,1.0000000001", [("-1/10000000000", "repelling")]),
+        # x^2 + 1/4 - 10^-20 fixes 1/2 -+ 10^-10
+        ("24999999999999999999/100000000000000000000,0,1",
+         [("4999999999/10000000000", "attracting"), ("5000000001/10000000000", "repelling")]),
+    ],
+)
+def test_poly_fixed_points_with_denominators_past_a_billion_are_exact(capsys, psi, expected):
+    assert main(["--format", "json", "poly", "fixed-points", "--psi", psi]) == 0
+    pts = json.loads(capsys.readouterr().out)["fixed_points"]
+    assert [(p["location"], p["kind"]) for p in pts] == expected
+    assert all(p["exact"] and p["value"] == float(Fraction(p["location"])) for p in pts)
 
 
 def test_poly_iterate():

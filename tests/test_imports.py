@@ -44,7 +44,6 @@ def test_package_has_no_unused_imports():
 
 # Definitions no package code references, each kept for a stated reason.
 USED_OUTSIDE = {
-    "jets.compose_jet_partitions": "the independent oracle the jet tests compare against",
     "jets.faa_di_bruno_identity_sum": "the identity an acceptance criterion checks",
     "seminorms.SeminormSpec.describe": "called by perfbench/workloads.py",
     "weights.gevrey_index": "called by perfbench/tracing.py for each young_conjugate call",

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gsdyn import logspace as ls
 from gsdyn import polynomials
 from gsdyn.errors import DomainError, ResourceLimitError
 from gsdyn.jets import (
@@ -16,7 +18,6 @@ from gsdyn.jets import (
     Scaled,
     Translated,
     compose_jet,
-    compose_jet_partitions,
     faa_di_bruno_identity_sum,
     fixed_point_jets,
     jet_of_polynomial,
@@ -24,6 +25,41 @@ from gsdyn.jets import (
     parse_model,
 )
 from gsdyn.polynomials import Polynomial, iterate
+
+
+def slog_pow(a, k: int):
+    if k == 0:
+        return (1, 0.0)
+    if a[0] == 0:
+        return ls.ZERO
+    sign = 1 if (a[0] > 0 or k % 2 == 0) else -1
+    return (sign, a[1] * k)
+
+
+def compose_jet_partitions(f: Jet, psi: Jet, order: int) -> Jet:
+    """The explicit Faa di Bruno partition sum, term by term: the independent
+    oracle compose_jet and the composed grid jets are checked against."""
+    if f.exact is not None and psi.exact is not None:
+        lift, mul, power, total = Fraction, operator.mul, operator.pow, sum
+        f_v, p_v, make = f.exact, psi.exact, Jet.from_exact
+    else:
+        lift, mul, power, total = ls.slog_of_fraction, ls.slog_mul, slog_pow, ls.slog_sum
+        f_v, p_v = list(zip(f.signs, f.logs)), list(zip(psi.signs, psi.logs))
+        make = Jet.from_slogs
+    out = [f_v[0]]
+    for j in range(1, order + 1):
+        terms = []
+        for k in multiplicity_partitions(j):
+            coeff = Fraction(math.factorial(j))
+            for ell, kl in enumerate(k, start=1):
+                coeff /= math.factorial(kl) * math.factorial(ell) ** kl
+            t = mul(lift(coeff), f_v[sum(k)])
+            for ell, kl in enumerate(k, start=1):
+                if kl:
+                    t = mul(t, power(p_v[ell], kl))
+            terms.append(t)
+        out.append(total(terms))
+    return make(psi.center, out)
 
 
 def value(jet, n):

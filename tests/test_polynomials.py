@@ -19,7 +19,6 @@ from gsdyn.polynomials import (
     _int_form,
     _isolate_roots,
     _multiplier,
-    _over_lcm,
     _prem,
     _refine,
     _root_radius,
@@ -134,7 +133,7 @@ SLOT = "111/25,-39/10,1"
 FIXED_POINT_PINS = {
     # 0 is the first probe and a root: the wall-off path
     ("0,0,1", 1): [_fp("0", 0.0, "attracting"), _fp("1", 2.0, "repelling")],
-    # 1/3 is not dyadic: snapped after refinement
+    # 1/3 is not dyadic: the rational root test finds it after refinement
     ("0,0,3", 1): [_fp("0", 0.0, "attracting"), _fp("1/3", 2.0, "repelling")],
     ("-2,1,1", 1): [
         _fp(("-24879108095805/17592186044416", "-49758216191607/35184372088832"),
@@ -272,17 +271,29 @@ def _contains(interval, k, sign):
 WIDE_ROOTS = [Fraction(i, 4) for i in range(-16, 16)]
 
 
+# rationals with denominators up to 10^30, far past any float's resolution
+HUGE_DENOMINATORS = st.builds(
+    Fraction,
+    st.integers(min_value=-10 ** 31, max_value=10 ** 31),
+    st.integers(min_value=1, max_value=10 ** 30),
+)
+
+
 @given(
     st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=7),
     st.integers(min_value=0, max_value=3),
     st.sampled_from([2, 3, 5, 6, 7, 8, 10, 11, 12]),
     st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda c: c != 0),
+    st.lists(HUGE_DENOMINATORS, max_size=3),
 )
-@example(WIDE_ROOTS, 16, 3, Fraction(1, 7))
+@example(WIDE_ROOTS, 16, 3, Fraction(1, 7), [])
+@example([Fraction(1, 2)], 1, 2, Fraction(1),
+         [Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30), Fraction(10 ** 30 + 1, 2 * 10 ** 30)])
 @settings(max_examples=40, deadline=None)
-def test_fixed_points_oracle(roots, repeats, k, scale):
+def test_fixed_points_oracle(roots, repeats, k, scale, huge):
     # psi = x + scale * prod (x - a) * (x^2 - k): its fixed points are the
     # roots a, given exactly, and +-sqrt(k), which are irrational
+    roots = roots + huge
     factors = roots + roots[::2][:repeats]
     prod = Polynomial.of([-k, 0, 1]).scale(scale)
     for a in factors:
@@ -299,23 +310,33 @@ def test_fixed_points_oracle(roots, repeats, k, scale):
     assert _contains(inexact[0], k, -1) and _contains(inexact[1], k, 1)
 
 
+def _near_half(eps):
+    """x^2 + 1/4 - 2 eps^2, which fixes the irrational 1/2 -+ sqrt(2) eps,
+    where psi' = 2x = 1 -+ 2 sqrt(2) eps."""
+    return Polynomial.of([Fraction(1, 4) - 2 * eps * eps, 0, 1])
+
+
 def test_near_neutral_points_get_their_exact_kinds(monkeypatch):
-    # x^2 + 1/4 - eps^2 fixes 1/2 -+ eps, where psi' = 2x = 1 -+ 2 eps; the
-    # denominators are past the snapping caps, so both come as intervals.  At
-    # eps = 10^-14 the 1e-13 intervals reach 1/2, the root of psi'^2 - 1, so
-    # _kind_near_one bisects each until psi'^2 - 1 has one sign on it
+    # The 1e-13 cells are 2^-44 wide on a dyadic grid through 1/2, the root
+    # of psi'^2 - 1.  Once sqrt(2) eps < 2^-44, the cells of both roots end
+    # at 1/2, so _kind_near_one halves each h times, for the least h with
+    # 2^-(44 + h) < sqrt(2) eps; before that it halves nothing
     refine = polynomials._refine
     calls = []
     monkeypatch.setattr(polynomials, "_refine", lambda *a: calls.append(a) or refine(*a))
-    for exponent, bisections in ((10, 0), (14, 6)):
+    for exponent in (10, 13, 14, 16):
         calls.clear()
         eps = Fraction(1, 10 ** exponent)
-        pts = fixed_points(Polynomial.of([Fraction(1, 4) - eps * eps, 0, 1]))
-        assert len(calls) - len(pts) == bisections
+        h = 0
+        while 2 * eps * eps < Fraction(1, 2 ** (44 + h)) ** 2:
+            h += 1
+        pts = fixed_points(_near_half(eps))
+        assert len(calls) - len(pts) == 2 * h
         assert [p.kind for p in pts] == ["attracting", "repelling"]
-        for p, root in zip(pts, (Fraction(1, 2) - eps, Fraction(1, 2) + eps)):
+        for p, sign in zip(pts, (-1, 1)):
             lo, hi = p.location
-            assert not p.exact and lo < root <= hi
+            assert not p.exact and hi - lo == Fraction(1, 2 ** (44 + h))
+            assert _contains((lo - Fraction(1, 2), hi - Fraction(1, 2)), 2 * eps * eps, sign)
         assert pts[0].multiplier < 1 < pts[1].multiplier
 
 
@@ -328,11 +349,11 @@ def test_near_neutral_points_get_their_exact_kinds(monkeypatch):
     ],
 )
 def test_degree_one_maps_near_modulus_one(coeffs, kind):
-    # the fixed point's denominator is past the snapping caps: an interval
+    # the fixed point's denominator is past 10^9, and it still comes out exact
     (p,) = fixed_points(Polynomial.of(coeffs))
     root = coeffs[0] / (1 - coeffs[1])
-    lo, hi = p.location
-    assert not p.exact and lo < root <= hi and p.kind == kind
+    assert p.exact and p.location == root and p.kind == kind
+    assert p.multiplier == float(abs(coeffs[1]))
 
 
 def test_irrational_neutral_points_stay_neutral():
@@ -501,9 +522,9 @@ def test_refine_on_wide_widths_and_root_ends():
 
 
 def test_refine_matches_bisection_on_near_neutral_halvings(monkeypatch):
-    # _kind_near_one halves the interval one _refine call at a time
-    eps = Fraction(1, 10 ** 14)
-    calls = _refine_calls(monkeypatch, Polynomial.of([Fraction(1, 4) - eps * eps, 0, 1]))
+    # _kind_near_one halves the interval one _refine call at a time: 3 times
+    # per root at eps = 10^-14, as 2^-47 < sqrt(2) 10^-14 < 2^-46
+    calls = _refine_calls(monkeypatch, _near_half(Fraction(1, 10 ** 14)))
     halvings = [c for c in calls if c[3] == (c[2] - c[1]) / 2]
     assert len(halvings) == 6
     for call in calls:
@@ -683,6 +704,14 @@ def test_compose_matches_the_fraction_horner(outer, inner):
     assert outer.compose(inner) == _compose_by_fractions(outer, inner)
 
 
+@given(exact_polys, exact_polys, st.integers(min_value=0, max_value=10))
+@settings(max_examples=80, deadline=None)
+def test_cut_compose_matches_the_cut_fraction_horner(outer, inner, order):
+    # compose(inner, order) keeps x^0..x^order of the full composition
+    expected = Polynomial.of(_compose_by_fractions(outer, inner).coeffs[: order + 1])
+    assert outer.compose(inner, order) == expected
+
+
 @given(exact_polys, st.integers(min_value=0, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_iterate_matches_the_fraction_horner(psi, m):
@@ -717,9 +746,9 @@ def test_multiplier_is_the_fraction_float_and_the_exact_kind(coeffs, x):
         expected = float(value)
     except OverflowError:
         with pytest.raises(ResourceLimitError, match="overflows a float"):
-            _multiplier(_over_lcm(dpsi), x)
+            _multiplier(dpsi, x)
         return
-    assert _multiplier(_over_lcm(dpsi), x) == (expected, (value > 1) - (value < 1))
+    assert _multiplier(dpsi, x) == (expected, (value > 1) - (value < 1))
 
 
 def test_sturm_chain_built_once_for_square_free_iterates(monkeypatch):
